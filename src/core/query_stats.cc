@@ -56,6 +56,9 @@ std::string QueryStats::ToTable() const {
     AppendRow(&out, "cache hits/misses/coalesced",
               I64(cache_hits) + "/" + I64(cache_misses) + "/" +
                   I64(cache_coalesced));
+    AppendRow(&out, "answer cache hits/misses/coalesced",
+              I64(answer_cache_hits) + "/" + I64(answer_cache_misses) + "/" +
+                  I64(answer_cache_coalesced));
     AppendRow(&out, "cache wait seconds",
               StrFormat("%.6f", cache_wait_seconds));
   }
@@ -112,6 +115,9 @@ std::string QueryStatsJson(const QueryStatsEnvelope& envelope,
     out += ", \"cache\": {\"hits\": " + I64(stats.cache_hits) +
            ", \"misses\": " + I64(stats.cache_misses) +
            ", \"coalesced\": " + I64(stats.cache_coalesced) +
+           ", \"answer_hits\": " + I64(stats.answer_cache_hits) +
+           ", \"answer_misses\": " + I64(stats.answer_cache_misses) +
+           ", \"answer_coalesced\": " + I64(stats.answer_cache_coalesced) +
            ", \"wait_seconds\": " + JsonDouble(stats.cache_wait_seconds) + "}";
   }
 

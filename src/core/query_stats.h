@@ -65,10 +65,19 @@ struct QueryStats {
   int64_t cache_hits = 0;       // calls served by a resident tree
   int64_t cache_misses = 0;     // calls where this query became the builder
   int64_t cache_coalesced = 0;  // calls that waited on another query's build
-  double cache_wait_seconds = 0.0;  // wall time inside GetOrBuild
+  // The same outcomes for TreeCache::GetOrComputeAnswer: a hit serves the
+  // whole cached score vector, so the query runs no walks at all.
+  int64_t answer_cache_hits = 0;
+  int64_t answer_cache_misses = 0;
+  int64_t answer_cache_coalesced = 0;
+  // Wall time inside the cache: tree lookups, builds and waits, plus answer
+  // lookups and waits (an answer computation's own walks are not included).
+  double cache_wait_seconds = 0.0;
 
   bool CacheTouched() const {
-    return cache_hits + cache_misses + cache_coalesced > 0;
+    return cache_hits + cache_misses + cache_coalesced + answer_cache_hits +
+               answer_cache_misses + answer_cache_coalesced >
+           0;
   }
 
   // --- deadline accounting ---

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -143,6 +142,14 @@ std::string ExtractResponseStatus(const std::string& response) {
   const size_t end = response.find('"', begin);
   if (end == std::string::npos) return "";
   return response.substr(begin, end - begin);
+}
+
+// Share of cache lookups served by a resident entry (0 before any lookup).
+double HitRate(int64_t hits, int64_t misses, int64_t coalesced) {
+  const int64_t lookups = hits + misses + coalesced;
+  return lookups > 0
+             ? static_cast<double>(hits) / static_cast<double>(lookups)
+             : 0.0;
 }
 
 }  // namespace
@@ -498,29 +505,20 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
   QueryRequest query;
   query.ctx = &*ctx;
   query.run = [this, source](QueryContext* run_ctx) -> PartialResult {
-    // Shared-tree fast path: one BuildRevReach per hot source process-wide;
-    // scoring against the shared tree is bit-identical to an uncached
-    // SingleSource (the tree build is deterministic in the key + cache
-    // params, and trial streams derive from (seed, source, candidate)).
-    StatusOr<TreeCache::TreePtr> tree = cache_->GetOrBuild(
-        source, engine_->LMax(), options_.engine.mode, run_ctx);
-    if (!tree.ok()) {
-      PartialResult r;
-      r.status = tree.status();
-      return r;
-    }
-    std::vector<NodeId> all(static_cast<size_t>(graph_.graph.num_nodes()));
-    std::iota(all.begin(), all.end(), 0);
-    return engine_->PartialWithTree(**tree, all, run_ctx);
+    // The answer-cache lookup runs inside the admitted task, so every
+    // request still passes admission and shows in the executor ledger. Any
+    // k is a projection of the one cached score vector.
+    return CachedSingleSource(cache_.get(), engine_.get(), source, run_ctx);
   };
   const QueryOutcome outcome = executor_->Execute(query);
   const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
   TopKLatencyHistogram().Record(static_cast<int64_t>(elapsed_ms));
 
   // Per-stage split for the response, the slow-query log, and replay
-  // --latency_out: engine run time divides into cache (inside GetOrBuild:
-  // build, hit, or coalesced wait) and walk (everything else — the MC trial
-  // loop); serialize covers response assembly below.
+  // --latency_out: engine run time divides into cache (answer lookup or
+  // coalesced wait, tree build, hit or wait) and walk (everything else — the
+  // MC trial loop, ~0 on an answer hit); serialize covers response assembly
+  // below.
   record->admitted = outcome.admitted;
   record->degraded = outcome.degraded;
   record->retries = outcome.retries;
@@ -843,12 +841,23 @@ std::string Server::BuildStatuszJson() const {
   cache_json.Set("evictions", JsonValue(cache.evictions));
   cache_json.Set("bytes", JsonValue(cache.bytes));
   cache_json.Set("trees", JsonValue(cache.trees));
-  const int64_t lookups = cache.hits + cache.misses + cache.coalesced;
   cache_json.Set("hit_rate",
-                 JsonValue(lookups > 0
-                               ? static_cast<double>(cache.hits) /
-                                     static_cast<double>(lookups)
-                               : 0.0));
+                 JsonValue(HitRate(cache.hits, cache.misses, cache.coalesced)));
+  // Per-kind entry for cached answers; both kinds share capacity_bytes.
+  JsonValue answers = JsonValue::Object();
+  answers.Set("hits", JsonValue(cache.answer_hits));
+  answers.Set("misses", JsonValue(cache.answer_misses));
+  answers.Set("coalesced", JsonValue(cache.answer_coalesced));
+  answers.Set("evictions", JsonValue(cache.answer_evictions));
+  answers.Set("bytes", JsonValue(cache.answer_bytes));
+  answers.Set("entries", JsonValue(cache.answers));
+  answers.Set("hit_rate",
+              JsonValue(HitRate(cache.answer_hits, cache.answer_misses,
+                                cache.answer_coalesced)));
+  cache_json.Set("answers", std::move(answers));
+  cache_json.Set("resident_bytes", JsonValue(cache.resident_bytes()));
+  cache_json.Set("capacity_bytes",
+                 JsonValue(cache_->options().capacity_bytes));
   out.Set("cache", std::move(cache_json));
 
   // Rolling per-minute latency percentiles (SlidingHistogram windows; the

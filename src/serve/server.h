@@ -30,14 +30,15 @@ class EventLog;  // util/event_log.h
 // over a length-prefixed JSON protocol (serve/protocol.h, docs/SERVING.md).
 // Every query routes through the PR-6 QueryExecutor — admission queue,
 // deadline shedding, degradation, retries, MemoryBudget — and top-k queries
-// share revReach trees through the TreeCache, so N concurrent queries on a
-// hot source run one BuildRevReach, not N.
+// share revReach trees and complete answers through the TreeCache, so N
+// queries on a hot source run one BuildRevReach and one trial loop, not N.
 //
 // Determinism contract: with degradation disabled (degrade_at = 0) a topk
 // response is bit-identical to `crashsim_cli topk` on the same graph with
 // the same seed/options — the ctx-path scores are a pure function of
-// (seed, source, candidate) and the shared tree is bit-identical to a
-// per-query build. The CI smoke lane diffs exactly that.
+// (seed, source, candidate), the shared tree is bit-identical to a
+// per-query build, and only complete, full-trial answers are cached. The
+// CI smoke lane diffs exactly that.
 //
 // A second listener serves GET /metrics in Prometheus text format for
 // scraping (cache.*, executor.*, serve.* and everything else in the
@@ -144,7 +145,7 @@ class Server {
     bool degraded = false;
     int retries = 0;
     double queue_ms = 0.0;      // executor admission-queue wait
-    double cache_ms = 0.0;      // inside TreeCache::GetOrBuild
+    double cache_ms = 0.0;      // answer lookup/wait + tree lookup/build
     double walk_ms = 0.0;       // engine run minus cache time
     double serialize_ms = 0.0;  // response assembly after the engine
     std::string stats_json;     // crashsim.query_stats.v1, "" when not run

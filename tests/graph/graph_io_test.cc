@@ -1,34 +1,28 @@
 #include "graph/graph_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "testing/temp_path.h"
 
 namespace crashsim {
 namespace {
 
-// Writes content to a unique temp file and returns its path.
+// Writes content to a test-unique temp file, removed on destruction.
 class TempFile {
  public:
-  explicit TempFile(const std::string& content) {
-    path_ = testing::TempDir() + "/crashsim_io_test_" +
-            std::to_string(counter_++) + ".txt";
-    std::ofstream out(path_);
+  explicit TempFile(const std::string& content) : file_("io_test.txt") {
+    std::ofstream out(file_.path());
     out << content;
   }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_.path(); }
 
  private:
-  static int counter_;
-  std::string path_;
+  test::TempPath file_;
 };
-
-int TempFile::counter_ = 0;
 
 TEST(ReadEdgeListTest, ParsesWithCommentsAndBlanks) {
   std::istringstream in("# header\n1 2\n\n% other comment\n2 3\n");

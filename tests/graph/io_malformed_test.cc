@@ -1,7 +1,6 @@
 // Satellite hardening table: every adversarial edge-list input must come
 // back as a descriptive Status — with the right code and a line-number
 // diagnostic — never a crash, never a silent accept.
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -9,28 +8,25 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_io.h"
+#include "testing/temp_path.h"
 #include "util/failpoint.h"
 
 namespace crashsim {
 namespace {
 
+// Writes content to a test-unique temp file, removed on destruction.
 class TempFile {
  public:
-  explicit TempFile(const std::string& content) {
-    path_ = testing::TempDir() + "/crashsim_malformed_" +
-            std::to_string(counter_++) + ".txt";
-    std::ofstream out(path_, std::ios::binary);  // binary: keep CRLF intact
+  explicit TempFile(const std::string& content) : file_("malformed.txt") {
+    // binary: keep CRLF intact
+    std::ofstream out(file_.path(), std::ios::binary);
     out << content;
   }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_.path(); }
 
  private:
-  static int counter_;
-  std::string path_;
+  test::TempPath file_;
 };
-
-int TempFile::counter_ = 0;
 
 struct MalformedCase {
   const char* name;

@@ -16,8 +16,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include "core/crashsim_t.h"
 #include "core/executor.h"
 #include "core/query_context.h"
+#include "core/tree_cache.h"
 #include "graph/generators.h"
 #include "graph/temporal_generators.h"
 #include "graph/temporal_graph.h"
@@ -175,6 +178,135 @@ TEST(ChaosTest, ConcurrentMixSurvivesInjectedFaultsWithCleanTaxonomy) {
     EXPECT_GT(unaffected, 0);
     // The chaos actually ran: at least one armed site was exercised.
     EXPECT_GT(FailpointHits("crashsim.trial_block"), 0);
+  }
+}
+
+// Answer-cache poisoning: clients hammer three hot sources through the
+// executor and one shared TreeCache (the serving path's CachedSingleSource)
+// while trial-block faults, revReach build faults and tight deadlines are
+// armed, and the executor degrades under load. The cache is unbounded, so
+// an answer admitted during the chaos stays resident into the clean phase.
+// A faulted, truncated or degraded answer goes back to its own query only:
+// once the faults are disarmed, every answer — served from the cache or
+// recomputed — equals the uncached in-process SingleSource bit for bit.
+TEST(ChaosTest, HotSourceAnswerCacheNeverServesAFaultedAnswer) {
+  const Graph g = ChaosGraph();
+  const std::vector<NodeId> kHot = {5, 17, 29};
+  constexpr int kHammerQueries = 12;
+  constexpr int kCleanQueries = 6;
+
+  for (const uint64_t seed : ChaosSeeds()) {
+    SCOPED_TRACE("chaos seed " + std::to_string(seed));
+    const CrashSimOptions options = EngineOptions(seed);
+    CrashSim engine(options);
+    engine.Bind(&g);
+    std::vector<PartialResult> expected;
+    for (const NodeId source : kHot) {
+      QueryContext ctx;
+      expected.push_back(engine.SingleSource(source, &ctx));
+      ASSERT_TRUE(expected.back().status.ok());
+    }
+    TreeCacheOptions cache_options;
+    cache_options.c = options.mc.c;
+    cache_options.prune_threshold = options.tree_prune_threshold;
+    cache_options.capacity_bytes = 0;
+    TreeCache cache(&g, cache_options);
+
+    ExecutorOptions xopt;
+    xopt.max_concurrent = 2;
+    xopt.max_queue = 4 * kClients;
+    xopt.degrade_at = 1.0;  // load 1.5-2 degrades: the bypass is exercised
+    xopt.max_retries = 2;
+    QueryExecutor executor(xopt);
+
+    // One client's run of queries; even-numbered ones carry a 1 ms deadline
+    // while `tight_deadlines` holds. Returns the outcomes, source-tagged.
+    const auto run_client = [&](int c, int queries, bool tight_deadlines) {
+      std::vector<std::pair<size_t, QueryOutcome>> out;
+      for (int q = 0; q < queries; ++q) {
+        const size_t hot = static_cast<size_t>(c + q) % kHot.size();
+        std::optional<QueryContext> ctx;
+        if (tight_deadlines && q % 2 == 0) {
+          ctx.emplace(std::chrono::milliseconds(1));
+        } else {
+          ctx.emplace();
+        }
+        QueryRequest request;
+        request.ctx = &*ctx;
+        request.run = [&](QueryContext* run_ctx) {
+          return CachedSingleSource(&cache, &engine, kHot[hot], run_ctx);
+        };
+        out.emplace_back(hot, executor.Execute(request));
+      }
+      return out;
+    };
+    const auto hammer = [&](int queries, bool tight_deadlines) {
+      std::vector<std::vector<std::pair<size_t, QueryOutcome>>> results(
+          kClients);
+      std::vector<std::thread> clients;
+      for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          results[static_cast<size_t>(c)] =
+              run_client(c, queries, tight_deadlines);
+        });
+      }
+      for (std::thread& t : clients) t.join();
+      return results;
+    };
+
+    {
+      FailpointScope chaos(seed);
+      FailpointSpec walk_fault;
+      walk_fault.action = FailpointAction::kError;
+      walk_fault.code = StatusCode::kUnavailable;
+      walk_fault.probability = 0.15;
+      ASSERT_TRUE(ConfigureFailpoint("crashsim.trial_block", walk_fault).ok());
+      FailpointSpec build_fault = walk_fault;
+      build_fault.probability = 0.10;
+      ASSERT_TRUE(ConfigureFailpoint("rev_reach.build", build_fault).ok());
+      for (const auto& client : hammer(kHammerQueries, true)) {
+        for (const auto& [hot, outcome] : client) {
+          const Status& status = outcome.result.status;
+          EXPECT_TRUE(IsDocumentedOutcome(status.code())) << status;
+          // Whatever completes in full is the exact answer, cached or not.
+          if (status.ok() && !outcome.degraded) {
+            EXPECT_EQ(outcome.result.scores, expected[hot].scores);
+          }
+          if (status.ok() && outcome.degraded) {
+            EXPECT_LT(outcome.result.trials_done, expected[hot].trials_done);
+          }
+        }
+      }
+      EXPECT_GT(FailpointHits("crashsim.trial_block"), 0);
+    }
+
+    // Disarmed, deadline-free: every answer must be the exact one. Those
+    // served from the cache prove nothing faulted was admitted; degraded
+    // runs are left out of the comparison (they bypass the cache and report
+    // their own smaller trial count).
+    int compared = 0;
+    for (const auto& client : hammer(kCleanQueries, false)) {
+      for (const auto& [hot, outcome] : client) {
+        ASSERT_TRUE(outcome.result.status.ok()) << outcome.result.status;
+        if (outcome.degraded) continue;
+        ++compared;
+        EXPECT_EQ(outcome.result.trials_done, expected[hot].trials_done);
+        EXPECT_EQ(outcome.result.scores, expected[hot].scores);
+      }
+    }
+    EXPECT_GT(compared, 0);
+    // Read every source back directly: resident or recomputed, each answer
+    // is the exact one, and all three are resident afterwards.
+    for (size_t hot = 0; hot < kHot.size(); ++hot) {
+      QueryContext ctx;
+      const PartialResult r = CachedSingleSource(&cache, &engine, kHot[hot],
+                                                 &ctx);
+      ASSERT_TRUE(r.status.ok());
+      EXPECT_EQ(r.scores, expected[hot].scores);
+    }
+    const TreeCache::Stats stats = cache.stats();
+    EXPECT_GT(stats.answer_hits + stats.answer_coalesced, 0);
+    EXPECT_EQ(stats.answers, static_cast<int64_t>(kHot.size()));
   }
 }
 

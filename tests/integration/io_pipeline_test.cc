@@ -2,7 +2,6 @@
 // verifies queries agree between the in-memory and reloaded graphs — the
 // exact pipeline crashsim_cli implements.
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -11,23 +10,14 @@
 #include "core/crashsim_t.h"
 #include "datasets/datasets.h"
 #include "graph/graph_io.h"
+#include "testing/temp_path.h"
 
 namespace crashsim {
 namespace {
 
-class TempFile {
- public:
-  TempFile() : path_(testing::TempDir() + "/crashsim_pipeline.tel") {}
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 TEST(IoPipelineTest, SaveLoadPreservesEverySnapshot) {
   const Dataset ds = MakeDataset("wiki-vote", 0.01, 5);
-  TempFile file;
+  const test::TempPath file("pipeline.tel");
   {
     std::ofstream out(file.path());
     WriteTemporalEdgeList(ds.temporal, out);
@@ -47,7 +37,7 @@ TEST(IoPipelineTest, SaveLoadPreservesEverySnapshot) {
 
 TEST(IoPipelineTest, QueriesAgreeAcrossTheRoundTrip) {
   const Dataset ds = MakeDataset("hepth", 0.012, 5);
-  TempFile file;
+  const test::TempPath file("pipeline.tel");
   {
     std::ofstream out(file.path());
     WriteTemporalEdgeList(ds.temporal, out);

@@ -27,6 +27,7 @@
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/top_k.h"
+#include "testing/temp_path.h"
 
 namespace crashsim {
 namespace {
@@ -360,11 +361,105 @@ TEST(ServerTest, ConcurrentHotSourceClientsShareOneTree) {
     ASSERT_FALSE(replies[static_cast<size_t>(i)].empty()) << "client " << i;
     EXPECT_EQ(replies[static_cast<size_t>(i)], replies[0]);
   }
-  // One build; everyone else hit the cache or coalesced onto the build.
+  // One tree build and one trial loop: everyone else hit the cached answer
+  // or coalesced onto its computation, so no other client reached the tree.
   const TreeCache::Stats cache = server.tree_cache().stats();
   EXPECT_EQ(cache.misses, 1);
-  EXPECT_EQ(cache.hits + cache.coalesced, kClients - 1);
+  EXPECT_EQ(cache.hits + cache.coalesced, 0);
+  EXPECT_EQ(cache.answer_misses, 1);
+  EXPECT_EQ(cache.answer_hits + cache.answer_coalesced, kClients - 1);
   server.Shutdown();
+}
+
+// Any k is a projection of one cached score vector: k=3 and then k=10 on
+// the same source return prefix-consistent, byte-identical nodes and scores
+// (both equal to the uncached engine), and the second request runs no walks
+// — its query_stats in the slow-query log show an answer-cache hit.
+TEST(ServerTest, RepeatedTopKIsServedFromTheCachedAnswer) {
+  LoadedGraph loaded = TestGraph();
+  const ServerOptions base = TestServerOptions();
+  CrashSim reference(base.engine);
+  reference.Bind(&loaded.graph);
+  QueryContext ctx;
+  const NodeId source = 7;  // original id 1007
+  const PartialResult direct = reference.SingleSource(source, &ctx);
+  ASSERT_TRUE(direct.status.ok());
+  TopK<NodeId> selector(10);
+  for (NodeId v = 0; v < loaded.graph.num_nodes(); ++v) {
+    if (v != source) selector.Offer(direct.scores[static_cast<size_t>(v)], v);
+  }
+  const auto expected = selector.Sorted();
+
+  const test::TempPath temp("answer_cache.jsonl");
+  EventLog::Options log_options;
+  log_options.path = temp.path();
+  EventLog event_log(log_options);
+  ASSERT_TRUE(event_log.ok());
+  ServerOptions options = base;
+  options.event_log = &event_log;
+  options.slow_query_ms = 0;  // log every request with its query_stats
+  Server server(TestGraph(), std::nullopt, options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  const StatusOr<JsonValue> small = client.Call(TopKRequest(1007, 3));
+  const StatusOr<JsonValue> large = client.Call(TopKRequest(1007, 10));
+  const TreeCache::Stats cache = server.tree_cache().stats();
+  server.Shutdown();
+  event_log.Flush();
+  ASSERT_TRUE(small.ok() && large.ok());
+  ASSERT_EQ(small->GetString("status", ""), "OK");
+  ASSERT_EQ(large->GetString("status", ""), "OK");
+  EXPECT_EQ(cache.answer_misses, 1);
+  EXPECT_EQ(cache.answer_hits, 1);
+  EXPECT_EQ(cache.misses, 1);
+
+  const std::vector<JsonValue>& large_nodes = large->Find("nodes")->items();
+  const std::vector<JsonValue>& large_scores = large->Find("scores")->items();
+  const std::vector<JsonValue>& small_nodes = small->Find("nodes")->items();
+  const std::vector<JsonValue>& small_scores = small->Find("scores")->items();
+  ASSERT_EQ(large_nodes.size(), expected.size());
+  ASSERT_EQ(small_nodes.size(), 3u);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(large_nodes[i].as_int(),
+              loaded.original_ids[static_cast<size_t>(expected[i].second)]);
+    EXPECT_EQ(large_scores[i].as_number(), expected[i].first);
+    if (i < small_nodes.size()) {
+      EXPECT_EQ(small_nodes[i].Write(), large_nodes[i].Write());
+      EXPECT_EQ(small_scores[i].Write(), large_scores[i].Write());
+    }
+  }
+  EXPECT_EQ(large->GetInt("trials_done", -1), direct.trials_done);
+
+  // The event log's query_stats: the first request walked, the second did
+  // not, and its cache section records the answer hit.
+  const int64_t small_id = small->GetInt("request_id", 0);
+  const int64_t large_id = large->GetInt("request_id", 0);
+  std::ifstream in(temp.path());
+  std::string line;
+  int seen = 0;
+  while (std::getline(in, line)) {
+    StatusOr<JsonValue> event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    const int64_t id = event->GetInt("request_id", 0);
+    if (id != small_id && id != large_id) continue;
+    ++seen;
+    const JsonValue* stats = event->Find("query_stats");
+    ASSERT_NE(stats, nullptr) << line;
+    const JsonValue* work = stats->Find("work");
+    const JsonValue* cache_stats = stats->Find("cache");
+    ASSERT_NE(work, nullptr) << line;
+    ASSERT_NE(cache_stats, nullptr) << line;
+    if (id == small_id) {
+      EXPECT_GT(work->GetInt("walks", -1), 0);
+      EXPECT_EQ(cache_stats->GetInt("answer_misses", -1), 1);
+    } else {
+      EXPECT_EQ(work->GetInt("walks", -1), 0);
+      EXPECT_EQ(cache_stats->GetInt("answer_hits", -1), 1);
+      EXPECT_EQ(cache_stats->GetInt("misses", -1), 0);  // tree untouched
+    }
+  }
+  EXPECT_EQ(seen, 2);
 }
 
 TEST(ServerTest, GracefulShutdownDrainsInFlightQuery) {
@@ -487,8 +582,17 @@ TEST(ServerTest, StatuszReportsLedgerCacheAndRollingLatency) {
   EXPECT_EQ(executor->GetInt("completed", -1), 2);
   const JsonValue* cache = doc->Find("cache");
   ASSERT_NE(cache, nullptr);
+  // The repeat is served from the cached answer, so the tree sees one
+  // lookup: the build.
   EXPECT_EQ(cache->GetInt("misses", -1), 1);
-  EXPECT_EQ(cache->GetInt("hits", -1), 1);
+  EXPECT_EQ(cache->GetInt("hits", -1), 0);
+  const JsonValue* answers = cache->Find("answers");
+  ASSERT_NE(answers, nullptr);
+  EXPECT_EQ(answers->GetInt("misses", -1), 1);
+  EXPECT_EQ(answers->GetInt("hits", -1), 1);
+  EXPECT_EQ(answers->GetInt("entries", -1), 1);
+  EXPECT_EQ(cache->GetInt("resident_bytes", -1),
+            cache->GetInt("bytes", -1) + answers->GetInt("bytes", -1));
   const JsonValue* latency = doc->Find("latency");
   ASSERT_NE(latency, nullptr);
   const JsonValue* topk_window = latency->Find("topk");
@@ -580,8 +684,8 @@ TEST(ServerTest, HttpListenerHandles404And405AndSplitWrites) {
 }
 
 TEST(ServerTest, SlowQueryEventsLandInTheEventLog) {
-  const std::string path = testing::TempDir() + "/server_slow_query.jsonl";
-  std::remove(path.c_str());
+  const test::TempPath temp("slow_query.jsonl");
+  const std::string& path = temp.path();
   EventLog::Options log_options;
   log_options.path = path;
   EventLog event_log(log_options);

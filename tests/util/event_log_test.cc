@@ -1,7 +1,6 @@
 #include "util/event_log.h"
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -9,15 +8,12 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "testing/temp_path.h"
 
 namespace crashsim {
 namespace {
 
 using event_log_internal::BoundedQueue;
-
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::vector<std::string> ReadLines(const std::string& path) {
   std::ifstream in(path);
@@ -112,8 +108,8 @@ TEST(BoundedQueueTest, ConcurrentProducersLoseNothingBelowCapacity) {
 }
 
 TEST(EventLogTest, WritesOneJsonLinePerEvent) {
-  const std::string path = TempPath("event_log_basic.jsonl");
-  std::remove(path.c_str());
+  const test::TempPath temp("event_log_basic.jsonl");
+  const std::string& path = temp.path();
   {
     EventLog::Options options;
     options.path = path;
@@ -130,8 +126,8 @@ TEST(EventLogTest, WritesOneJsonLinePerEvent) {
 }
 
 TEST(EventLogTest, DestructorDrainsPendingLines) {
-  const std::string path = TempPath("event_log_drain.jsonl");
-  std::remove(path.c_str());
+  const test::TempPath temp("event_log_drain.jsonl");
+  const std::string& path = temp.path();
   {
     EventLog::Options options;
     options.path = path;
@@ -145,8 +141,8 @@ TEST(EventLogTest, DestructorDrainsPendingLines) {
 }
 
 TEST(EventLogTest, AppendsAcrossInstances) {
-  const std::string path = TempPath("event_log_append.jsonl");
-  std::remove(path.c_str());
+  const test::TempPath temp("event_log_append.jsonl");
+  const std::string& path = temp.path();
   for (int run = 0; run < 2; ++run) {
     EventLog::Options options;
     options.path = path;
@@ -157,8 +153,8 @@ TEST(EventLogTest, AppendsAcrossInstances) {
 }
 
 TEST(EventLogTest, ConcurrentLoggersAllLand) {
-  const std::string path = TempPath("event_log_mt.jsonl");
-  std::remove(path.c_str());
+  const test::TempPath temp("event_log_mt.jsonl");
+  const std::string& path = temp.path();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 250;
   {
@@ -183,8 +179,8 @@ TEST(EventLogTest, ConcurrentLoggersAllLand) {
 }
 
 TEST(EventLogTest, OverflowDropsAndCountsInsteadOfBlocking) {
-  const std::string path = TempPath("event_log_drop.jsonl");
-  std::remove(path.c_str());
+  const test::TempPath temp("event_log_drop.jsonl");
+  const std::string& path = temp.path();
   EventLog::Options options;
   options.path = path;
   options.queue_capacity = 4;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Prometheus text-exposition (format 0.0.4) file.
 
-Usage: check_prometheus.py metrics.txt
+Usage: check_prometheus.py metrics.txt [--require NAME ...]
 
 Checks, beyond "every line parses":
   - metric names match [a-zA-Z_:][a-zA-Z0-9_:]*
@@ -14,13 +14,19 @@ Checks, beyond "every line parses":
     _count, with _count equal to the +Inf bucket
   - sample values are valid numbers
 
-Exit 0 when the file is a valid exposition with at least one sample; 1
-otherwise, with one line per problem. Stdlib only (runs in CI).
+--require NAME (repeatable) additionally demands a sample with exactly that
+name, e.g. the serve smoke requires the answer-cache counters
+crashsim_answer_cache_{hits,misses,coalesced}_total to be exported.
+
+Exit 0 when the file is a valid exposition with at least one sample (and
+every required series); 1 otherwise, with one line per problem. Stdlib only
+(runs in CI).
 
 MetricsRegistry::ExportPrometheusText() (src/util/metrics.cc) is the
 producer under test; crashsim_cli --metrics_out wires it to disk.
 """
 
+import argparse
 import re
 import sys
 
@@ -41,13 +47,19 @@ def base_family(sample_name, types):
 
 
 def main():
-    if len(sys.argv) != 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 1
-    path = sys.argv[1]
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("path")
+    parser.add_argument("--require", action="append", default=[],
+                        metavar="NAME",
+                        help="sample name that must be present")
+    args = parser.parse_args()
+    path = args.path
     errors = []
     types = {}  # family -> declared type
     samples = 0
+    names = set()
     # histogram family -> {"buckets": [(le, value)], "sum": v, "count": v}
     histograms = {}
 
@@ -89,6 +101,7 @@ def main():
                 errors.append(f"line {lineno}: non-numeric value {value!r}")
                 continue
             samples += 1
+            names.add(name)
             family = base_family(name, types)
             kind = types.get(family)
             if kind is None:
@@ -137,6 +150,9 @@ def main():
 
     if samples == 0:
         errors.append("no samples found")
+    for name in args.require:
+        if name not in names:
+            errors.append(f"required series {name} is missing")
     for e in errors:
         print(f"{path}: {e}", file=sys.stderr)
     if errors:

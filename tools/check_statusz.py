@@ -63,9 +63,24 @@ def check_statusz(path):
             "executor ledger: admitted > submitted")
     cache = doc["cache"]
     for key in ("hits", "misses", "coalesced", "evictions", "bytes", "trees",
-                "hit_rate"):
+                "hit_rate", "resident_bytes", "capacity_bytes"):
         require(isinstance(cache.get(key), (int, float)),
                 f"cache.{key} missing")
+    # Per-kind entry for cached answers; trees and answers share one budget.
+    answers = cache.get("answers")
+    require(isinstance(answers, dict), "cache.answers missing")
+    for key in ("hits", "misses", "coalesced", "evictions", "bytes",
+                "entries", "hit_rate"):
+        require(isinstance(answers.get(key), (int, float)),
+                f"cache.answers.{key} missing")
+    for section, name in ((cache, "cache"), (answers, "cache.answers")):
+        require(0.0 <= section["hit_rate"] <= 1.0,
+                f"{name}.hit_rate out of [0, 1]")
+    require(cache["resident_bytes"] == cache["bytes"] + answers["bytes"],
+            "cache.resident_bytes != tree bytes + answer bytes")
+    if cache["capacity_bytes"] > 0:
+        require(cache["resident_bytes"] <= cache["capacity_bytes"],
+                "cache.resident_bytes exceeds cache.capacity_bytes")
     latency = doc["latency"]
     require(latency.get("window_seconds", 0) >= 1, "bad latency window")
     for op in ("topk", "temporal"):
@@ -157,6 +172,16 @@ def check_event_log(path):
                             "serialize_ms"):
                     require(key in event,
                             f"slow_query line {lineno} missing {key!r}")
+                # A query that went through the shared cache carries the
+                # per-kind outcome counts in its query_stats.
+                cache = event.get("query_stats", {}).get("cache")
+                if cache is not None:
+                    for key in ("hits", "misses", "coalesced",
+                                "answer_hits", "answer_misses",
+                                "answer_coalesced", "wait_seconds"):
+                        require(key in cache,
+                                f"slow_query line {lineno}: query_stats."
+                                f"cache missing {key!r}")
                 slow_ids.add(event["request_id"])
     return slow_ids
 

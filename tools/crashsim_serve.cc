@@ -83,7 +83,8 @@ int Run(int argc, char** argv) {
   flags.DefineIntInRange("memory_budget_mb", 0, 0, 1 << 20,
                          "per-query memory budget in MiB (0 = unlimited)");
   flags.DefineIntInRange("cache_mb", 256, 0, 1 << 20,
-                         "shared-tree cache capacity in MiB (0 = unbounded)");
+                         "shared cache capacity in MiB, trees and answers "
+                         "together (0 = unbounded)");
   // Engine knobs (same names as the CLI's topk/temporal subcommands).
   flags.DefineDouble("c", 0.6, "SimRank decay factor");
   flags.DefineDouble("epsilon", 0.025, "max absolute error");

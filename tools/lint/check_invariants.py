@@ -77,6 +77,17 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and suppression policy):
                        catalog can never be armed, so the chaos tier would
                        silently skip it. Applies to src/**.
 
+  temp-path-literal    Tests never spell a scratch path as a literal under
+                       testing::TempDir() ("TempDir() + \"/name\""):
+                       gtest_discover_tests runs every TEST in its own
+                       process and ctest -j runs them side by side, so a
+                       fixed or counter-numbered name lets concurrent tests
+                       overwrite and delete each other's files. Use
+                       crashsim::test::TempPath (tests/testing/temp_path.h),
+                       which keys the name on the test, the pid and a
+                       sequence number. Applies to tests/** except that
+                       helper.
+
 Suppression: append  // lint:allow(<rule-id>): <justification>  to the
 offending line, or put it on a comment-only line immediately above. The
 justification is mandatory — a bare allow is an error.
@@ -185,6 +196,13 @@ FAILPOINT_NAME_RE = re.compile(
 FAILPOINT_CATALOG_RE = re.compile(
     r"kFailpointCatalog\[\]\s*=\s*\{(.*?)\}", re.DOTALL)
 FAILPOINT_CATALOG_FILE = "src/util/failpoint.cc"
+
+# TempDir() followed by string concatenation. Stripped code keeps the quote
+# characters, so the literal shows up as a bare '"' after the plus — on the
+# same line, or opening the next one after a trailing "TempDir() +".
+TEMP_PATH_LITERAL_RE = re.compile(r'\bTempDir\s*\(\s*\)\s*\+\s*"')
+TEMP_PATH_TRAILING_RE = re.compile(r'\bTempDir\s*\(\s*\)\s*\+$')
+TEMP_PATH_EXEMPT = ("tests/testing/temp_path.h",)
 
 
 def strip_comments_and_strings(line):
@@ -455,12 +473,23 @@ class Linter:
                                                     FAILPOINT_CATALOG_FILE),
                             raw, prev_raw)
 
+        if rel.startswith("tests/") and rel not in TEMP_PATH_EXEMPT:
+            if TEMP_PATH_LITERAL_RE.search(code) or (
+                    TEMP_PATH_TRAILING_RE.search(prev_code)
+                    and code.lstrip().startswith('"')):
+                self.report(
+                    rel, lineno, "temp-path-literal",
+                    "literal path under testing::TempDir() — concurrent "
+                    "tests collide on it; use crashsim::test::TempPath "
+                    "(tests/testing/temp_path.h)", raw, prev_raw)
+
     def run(self, paths=None):
         if paths:
             files = [Path(p) if Path(p).is_absolute() else self.root / p
                      for p in paths]
         else:
-            files = sorted(p for p in (self.root / "src").rglob("*")
+            files = sorted(p for tree in ("src", "tests")
+                           for p in (self.root / tree).rglob("*")
                            if p.suffix in SOURCE_EXTS)
         for f in files:
             self.lint_file(f)
@@ -472,8 +501,8 @@ def main(argv):
     ap.add_argument("--root", default=".",
                     help="repository root (default: cwd)")
     ap.add_argument("files", nargs="*",
-                    help="specific files to lint (default: src/ tree); "
-                         "paths must live under --root")
+                    help="specific files to lint (default: src/ and tests/ "
+                         "trees); paths must live under --root")
     args = ap.parse_args(argv)
 
     linter = Linter(Path(args.root).resolve())
