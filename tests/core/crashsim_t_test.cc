@@ -1,7 +1,12 @@
 #include "core/crashsim_t.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "core/query_context.h"
+#include "core/query_stats.h"
+#include "datasets/datasets.h"
 #include "graph/generators.h"
 #include "graph/temporal_generators.h"
 #include "graph/temporal_graph.h"
@@ -215,6 +220,106 @@ TEST(CrashSimTTest, EmptyCandidateSetShortCircuits) {
   const TemporalAnswer answer = engine.Answer(tg, q);
   EXPECT_TRUE(answer.nodes.empty());
   EXPECT_EQ(answer.stats.snapshots_processed, 1);
+}
+
+// Every TemporalAnswerStats counter (total_seconds is wall time, not a
+// counter).
+void ExpectSameCounters(const TemporalAnswerStats& a,
+                        const TemporalAnswerStats& b) {
+  EXPECT_EQ(a.snapshots_processed, b.snapshots_processed);
+  EXPECT_EQ(a.scores_computed, b.scores_computed);
+  EXPECT_EQ(a.pruned_by_delta, b.pruned_by_delta);
+  EXPECT_EQ(a.pruned_by_difference, b.pruned_by_difference);
+  EXPECT_EQ(a.stable_tree_snapshots, b.stable_tree_snapshots);
+  EXPECT_EQ(a.delta_prune_checks, b.delta_prune_checks);
+  EXPECT_EQ(a.difference_prune_checks, b.difference_prune_checks);
+  EXPECT_EQ(a.difference_prefilter_skips, b.difference_prefilter_skips);
+  EXPECT_EQ(a.difference_tree_rebuilds, b.difference_tree_rebuilds);
+  EXPECT_EQ(a.source_tree_rebuilds, b.source_tree_rebuilds);
+  EXPECT_EQ(a.source_tree_reuses, b.source_tree_reuses);
+}
+
+TEST(CrashSimTTest, EntryPointsAgreeAcrossOptionGrid) {
+  // The plain entry point, the context-aware one without a context, and the
+  // context-aware one with a stats sink must answer every configuration
+  // identically: same node set, same pruning counters. The sink must also
+  // mirror the answer's own counters. The two dataset stand-ins grow
+  // everywhere, so their source trees never stabilise; the split world and
+  // a low-churn random graph are where both pruning rules fire.
+  struct Case {
+    std::string name;
+    TemporalGraph tg;
+  };
+  std::vector<Case> cases;
+  for (const std::string name : {"as733", "hepth"}) {
+    cases.push_back(
+        {name, MakeDataset(name, 0.015, /*snapshots_override=*/6).temporal});
+  }
+  cases.push_back({"split", SplitWorld(6)});
+  Rng rng(5);
+  ChurnOptions churn;
+  churn.num_snapshots = 6;
+  churn.churn_rate = 0.01;
+  cases.push_back(
+      {"churn", EvolveWithChurn(ErdosRenyi(40, 120, false, &rng), churn, &rng)});
+
+  int64_t delta_hits = 0;
+  int64_t difference_hits = 0;
+  for (const Case& c : cases) {
+    const TemporalGraph& tg = c.tg;
+    for (int mask = 0; mask < 16; ++mask) {
+      for (const RevReachMode mode :
+           {RevReachMode::kPaper, RevReachMode::kCorrected}) {
+        for (const TemporalQueryKind kind :
+             {TemporalQueryKind::kThreshold,
+              TemporalQueryKind::kTrendIncreasing,
+              TemporalQueryKind::kTrendDecreasing}) {
+          SCOPED_TRACE(c.name + " mask " + std::to_string(mask) + " mode " +
+                       std::to_string(static_cast<int>(mode)) + " kind " +
+                       std::to_string(static_cast<int>(kind)));
+          CrashSimTOptions opt = Options(64, 11);
+          opt.crashsim.mode = mode;
+          opt.enable_delta_pruning = (mask & 1) != 0;
+          opt.enable_difference_pruning = (mask & 2) != 0;
+          opt.difference_reachability_prefilter = (mask & 4) != 0;
+          opt.reuse_source_tree = (mask & 8) != 0;
+          TemporalQuery q;
+          q.kind = kind;
+          q.source = 1;
+          q.begin_snapshot = 0;
+          q.end_snapshot = tg.num_snapshots() - 1;
+          q.theta = 0.01;
+          q.trend_tolerance = 0.02;
+
+          const TemporalAnswer plain = CrashSimT(opt).Answer(tg, q);
+          const TemporalAnswer no_ctx = CrashSimT(opt).Answer(tg, q, nullptr);
+          QueryStats sink;
+          QueryContext ctx;
+          ctx.set_stats(&sink);
+          const TemporalAnswer with_ctx = CrashSimT(opt).Answer(tg, q, &ctx);
+
+          ASSERT_TRUE(no_ctx.complete()) << no_ctx.status;
+          ASSERT_TRUE(with_ctx.complete()) << with_ctx.status;
+          EXPECT_EQ(plain.nodes, no_ctx.nodes);
+          EXPECT_EQ(plain.nodes, with_ctx.nodes);
+          ExpectSameCounters(plain.stats, no_ctx.stats);
+          ExpectSameCounters(plain.stats, with_ctx.stats);
+          EXPECT_EQ(sink.snapshots_processed,
+                    with_ctx.stats.snapshots_processed);
+          EXPECT_EQ(sink.delta_prune_hits, with_ctx.stats.pruned_by_delta);
+          EXPECT_EQ(sink.difference_prune_hits,
+                    with_ctx.stats.pruned_by_difference);
+          EXPECT_EQ(sink.scores_computed, with_ctx.stats.scores_computed);
+          delta_hits += plain.stats.pruned_by_delta;
+          difference_hits += plain.stats.pruned_by_difference;
+        }
+      }
+    }
+  }
+  // The grid must exercise both pruning rules, or it compares only the
+  // recompute-everything path.
+  EXPECT_GT(delta_hits, 0);
+  EXPECT_GT(difference_hits, 0);
 }
 
 }  // namespace
