@@ -82,7 +82,7 @@ class CrashSim : public SimRankAlgorithm {
   // candidate, trial) — see util/rng.h — so a run cut short at k trials
   // equals a fresh run with trials_override = k bit for bit, independent of
   // num_threads and batch_size. The plain overloads above are thin wrappers
-  // over these (ctx = nullptr), so legacy and context-aware answers share
+  // over these (ctx = nullptr), so plain and context-aware answers share
   // one stream contract.
   PartialResult SingleSource(NodeId u, QueryContext* ctx);
   PartialResult Partial(NodeId u, std::span<const NodeId> candidates,

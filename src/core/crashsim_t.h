@@ -53,16 +53,18 @@ class CrashSimT : public TemporalEngine {
   explicit CrashSimT(const CrashSimTOptions& options);
 
   std::string name() const override { return "CrashSim-T"; }
+  // Runs the overload below with no context; CHECK-fails on an invalid
+  // interval or options instead of returning a Status.
   TemporalAnswer Answer(const TemporalGraph& tg,
                         const TemporalQuery& query) override;
 
-  // Deadline/cancellation-aware variant (ctx may be nullptr = unbounded).
-  // The context is checked before every snapshot and threaded into the
-  // per-snapshot CrashSim evaluation; on deadline/cancel the answer carries
-  // the candidate set after the last fully processed snapshot plus a
-  // non-OK status — partially evaluated snapshots are never observed, so
-  // the prefix answer is exactly what an unbounded run over the shorter
-  // interval would have produced.
+  // The one Algorithm 3 body (ctx may be nullptr = unbounded). The context
+  // is checked before every snapshot and threaded into the per-snapshot
+  // CrashSim evaluation; on deadline/cancel the answer carries the candidate
+  // set after the last fully processed snapshot plus a non-OK status —
+  // partially evaluated snapshots are never observed, so the prefix answer
+  // is exactly what an unbounded run over the shorter interval would have
+  // produced.
   TemporalAnswer Answer(const TemporalGraph& tg, const TemporalQuery& query,
                         QueryContext* ctx);
 

@@ -28,15 +28,17 @@ class ProbeSim : public SimRankAlgorithm {
 
   std::string name() const override { return "ProbeSim"; }
   void Bind(const Graph* g) override;
+  // Runs the overload below with no context; CHECK-fails where it would
+  // return a non-OK Status.
   std::vector<double> SingleSource(NodeId u) override;
 
-  // Context-aware variant: trial blocks grow 1, 2, 4, ..., 64 with a
-  // deadline/cancellation checkpoint between blocks, the same anytime
-  // contract as CrashSim — a partial answer is the exact result of
-  // trials_done trials (the member RNG is consumed sequentially, so the
-  // prefix matches a fresh run with trials_override = trials_done), and
-  // the context's trial fraction shrinks the budget under executor load.
-  // nullptr behaves like the legacy entry point but with Status reporting.
+  // The one ProbeSim body (ctx may be nullptr = unbounded): trial blocks
+  // grow 1, 2, 4, ..., 64 with a deadline/cancellation checkpoint between
+  // blocks, the same anytime contract as CrashSim — a partial answer is the
+  // exact result of trials_done trials (the member RNG is consumed
+  // sequentially, so the prefix matches a fresh run with trials_override =
+  // trials_done), and the context's trial fraction shrinks the budget under
+  // executor load.
   PartialResult SingleSource(NodeId u, QueryContext* ctx);
 
   // Number of trials the current options yield on an n-node graph.

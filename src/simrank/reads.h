@@ -47,17 +47,18 @@ class Reads : public SimRankAlgorithm {
 
   std::string name() const override { return "READS"; }
   void Bind(const Graph* g) override;
+  // Runs the overload below with no context; CHECK-fails where it would
+  // return a non-OK Status.
   std::vector<double> SingleSource(NodeId u) override;
 
-  // Context-aware variant. READS has no trial loop to shrink — r is baked
-  // into the index — so progress is counted in *candidates scored*:
-  // trials_target = n, trials_done = candidates fully chased, with a
-  // deadline/cancellation checkpoint every 256 candidates (the pointer
-  // chases between checkpoints are pure index reads). A partial answer
-  // scores candidates [0, trials_done) exactly as the full run would and
-  // leaves the rest at 0; epsilon_achieved stays +infinity (READS carries
-  // no epsilon parameter). nullptr ctx behaves like the legacy entry point
-  // but with Status reporting.
+  // The one READS query body (ctx may be nullptr = unbounded). READS has no
+  // trial loop to shrink — r is baked into the index — so progress is
+  // counted in *candidates scored*: trials_target = n, trials_done =
+  // candidates fully chased, with a deadline/cancellation checkpoint every
+  // 256 candidates (the pointer chases between checkpoints are pure index
+  // reads). A partial answer scores candidates [0, trials_done) exactly as
+  // the full run would and leaves the rest at 0; epsilon_achieved stays
+  // +infinity (READS carries no epsilon parameter).
   PartialResult SingleSource(NodeId u, QueryContext* ctx);
 
   // Applies an edge delta to the bound graph's index. `updated` must be the

@@ -200,6 +200,10 @@ bool Sling::LoadIndex(std::istream& in, std::string* error) {
     *error = "SLING index shape mismatch (node count differs)";
     return false;
   }
+  if (depth < 1 || !std::isfinite(threshold) || threshold <= 0.0) {
+    *error = "corrupt SLING index header (depth or threshold out of range)";
+    return false;
+  }
   std::vector<double> diag(static_cast<size_t>(n));
   in.read(reinterpret_cast<char*>(diag.data()),
           static_cast<std::streamsize>(diag.size() * sizeof(double)));
@@ -212,7 +216,10 @@ bool Sling::LoadIndex(std::istream& in, std::string* error) {
   int64_t entries = 0;
   for (NodeId w = 0; w < n; ++w) {
     int32_t num_levels = 0;
-    if (!ReadPod(in, &num_levels) || num_levels < 0 || num_levels > depth + 1) {
+    // Compared as num_levels - 1 so a file-supplied depth near INT32_MAX
+    // cannot overflow.
+    if (!ReadPod(in, &num_levels) || num_levels < 0 ||
+        num_levels - 1 > depth) {
       *error = "corrupt SLING index levels";
       return false;
     }

@@ -260,8 +260,8 @@ TEST(CrashSimTTest, EntryPointsAgreeAcrossOptionGrid) {
   ChurnOptions churn;
   churn.num_snapshots = 6;
   churn.churn_rate = 0.01;
-  cases.push_back(
-      {"churn", EvolveWithChurn(ErdosRenyi(40, 120, false, &rng), churn, &rng)});
+  const Graph base = ErdosRenyi(40, 120, false, &rng);
+  cases.push_back({"churn", EvolveWithChurn(base, churn, &rng)});
 
   int64_t delta_hits = 0;
   int64_t difference_hits = 0;

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +105,30 @@ TEST(ReadsPersistenceTest, RejectsTruncatedBody) {
   // The failed load must not have corrupted the usable index.
   const auto scores = other.SingleSource(0);
   EXPECT_DOUBLE_EQ(scores[0], 1.0);
+}
+
+TEST(ReadsPersistenceTest, RejectsNonPositiveWalkLengthInHeader) {
+  const Graph g = PaperExampleGraph();
+  Reads reads(Options());
+  reads.Bind(&g);
+  std::stringstream buffer;
+  reads.SaveIndex(buffer);
+  const std::string original = buffer.str();
+  // Header: magic, version, r, t, n; t sits at byte offset 12.
+  for (const int32_t t : {0, -1}) {
+    SCOPED_TRACE("t = " + std::to_string(t));
+    std::string bytes = original;
+    std::memcpy(bytes.data() + 12, &t, sizeof(t));
+    std::stringstream crafted(bytes);
+    std::string error;
+    EXPECT_FALSE(reads.LoadIndex(crafted, &error));
+    EXPECT_NE(error.find("header"), std::string::npos) << error;
+    // The rejected load left the instance as it was.
+    std::stringstream after;
+    reads.SaveIndex(after);
+    EXPECT_EQ(after.str(), original);
+  }
+  EXPECT_DOUBLE_EQ(reads.SingleSource(0)[0], 1.0);
 }
 
 TEST(ReadsPersistenceTest, LoadedIndexSupportsDeltas) {

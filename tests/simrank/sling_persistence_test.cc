@@ -1,4 +1,8 @@
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -79,6 +83,43 @@ TEST(SlingPersistenceTest, RejectsTruncatedStreamAndKeepsIndexUsable) {
   EXPECT_FALSE(other.LoadIndex(truncated, &error));
   // Failed load leaves the previously built index intact.
   EXPECT_EQ(other.SingleSource(3), before);
+}
+
+TEST(SlingPersistenceTest, RejectsOutOfRangeDepthOrThresholdInHeader) {
+  Rng rng(3);
+  const Graph g = ErdosRenyi(30, 120, false, &rng);
+  Sling sling(Options());
+  sling.Bind(&g);
+  std::stringstream buffer;
+  sling.SaveIndex(buffer);
+  const std::string original = buffer.str();
+  const auto before = sling.SingleSource(3);
+  // Header: magic, version, n, depth (offset 12), threshold (offset 16).
+  struct Crafted {
+    int32_t depth;
+    double threshold;
+  };
+  const double valid_threshold = 1e-4;
+  for (const Crafted& c :
+       {Crafted{0, valid_threshold}, Crafted{-1, valid_threshold},
+        Crafted{4, 0.0}, Crafted{4, -1.0},
+        Crafted{4, std::numeric_limits<double>::quiet_NaN()},
+        Crafted{4, std::numeric_limits<double>::infinity()}}) {
+    SCOPED_TRACE("depth " + std::to_string(c.depth) + " threshold " +
+                 std::to_string(c.threshold));
+    std::string bytes = original;
+    std::memcpy(bytes.data() + 12, &c.depth, sizeof(c.depth));
+    std::memcpy(bytes.data() + 16, &c.threshold, sizeof(c.threshold));
+    std::stringstream crafted(bytes);
+    std::string error;
+    EXPECT_FALSE(sling.LoadIndex(crafted, &error));
+    EXPECT_NE(error.find("header"), std::string::npos) << error;
+    // The rejected load left the instance as it was.
+    std::stringstream after;
+    sling.SaveIndex(after);
+    EXPECT_EQ(after.str(), original);
+  }
+  EXPECT_EQ(sling.SingleSource(3), before);
 }
 
 }  // namespace

@@ -467,6 +467,9 @@ int RunTemporal(int argc, char** argv) {
   } else {
     return FailStatus(InvalidArgumentError("unknown --kind " + kind));
   }
+  if (Status s = ValidateQueryInterval(tg, query); !s.ok()) {
+    return FailStatus(s);
+  }
 
   SimRankOptions mc;
   mc.c = flags.GetDouble("c");
@@ -490,20 +493,11 @@ int RunTemporal(int argc, char** argv) {
     opt.crashsim.num_threads = static_cast<int>(flags.GetInt("threads"));
     opt.crashsim.batch_size = static_cast<int>(flags.GetInt("batch_size"));
     CrashSimT e(opt);
-    if (timeout_ms > 0 || want_stats || want_trace) {
-      // The observability sink lives on the QueryContext, so --stats routes
-      // through the context-aware path even without a deadline.
-      std::optional<QueryContext> ctx;
-      if (timeout_ms > 0) {
-        ctx.emplace(std::chrono::milliseconds(timeout_ms));
-      } else {
-        ctx.emplace();
-      }
-      if (want_stats) ctx->set_stats(&qstats);
-      answer = e.Answer(tg, query, &*ctx);
-    } else {
-      answer = e.Answer(tg, query);
-    }
+    QueryContext ctx = timeout_ms > 0
+                           ? QueryContext(std::chrono::milliseconds(timeout_ms))
+                           : QueryContext();
+    if (want_stats) ctx.set_stats(&qstats);
+    answer = e.Answer(tg, query, &ctx);
   } else if (timeout_ms > 0) {
     return FailStatus(
         InvalidArgumentError("--timeout_ms requires --engine crashsim-t"));
@@ -597,6 +591,17 @@ int RunDurable(int argc, char** argv) {
                            : static_cast<int>(flags.GetInt("end"));
   query.k = static_cast<int>(flags.GetInt("k"));
   query.floor = flags.GetDouble("floor");
+  TemporalQuery interval;
+  interval.source = query.source;
+  interval.begin_snapshot = query.begin_snapshot;
+  interval.end_snapshot = query.end_snapshot;
+  if (Status s = ValidateQueryInterval(tg, interval); !s.ok()) {
+    return FailStatus(s);
+  }
+  if (query.k < 1) return FailStatus(InvalidArgumentError("--k must be >= 1"));
+  if (!(query.floor >= 0.0)) {
+    return FailStatus(InvalidArgumentError("--floor must be >= 0"));
+  }
 
   CrashSimOptions opt;
   opt.mc.c = flags.GetDouble("c");

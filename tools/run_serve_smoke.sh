@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the crashsim_serve service (docs/SERVING.md):
 #
-#   1. generate a small temporal dataset and its static projection;
+#   1. generate a small temporal dataset and its static projection, and
+#      require `crashsim_cli temporal` and `durable` to reject a query
+#      interval past the last snapshot with exit code 2 and an `error:`
+#      line, never a CHECK abort;
 #   2. start crashsim_serve on ephemeral ports with degradation off;
 #   3. drive it with 8 concurrent hot-key replay clients over 3 sources and
 #      require N hot queries not to run N trial loops: at most 3 tree
@@ -54,6 +57,24 @@ echo "== generate dataset"
   --out "$WORK/tiny.tel"
 # Static projection: snapshot-0 edges of the temporal list.
 awk '$1 !~ /^#/ && $3 == 0 {print $1, $2}' "$WORK/tiny.tel" > "$WORK/tiny.el"
+
+echo "== out-of-range query interval is a usage error"
+for cmd in temporal durable; do
+  RC=0
+  "$CLI" "$cmd" --graph "$WORK/tiny.tel" --undirected --source 3 --end 99 \
+    > /dev/null 2> "$WORK/bad_interval.err" || RC=$?
+  [[ "$RC" -eq 2 ]] || {
+    echo "FAIL: $cmd --end 99 exited $RC, want 2" >&2
+    cat "$WORK/bad_interval.err" >&2; exit 1; }
+  if grep -q "CHECK failed" "$WORK/bad_interval.err"; then
+    echo "FAIL: $cmd --end 99 hit a CHECK" >&2
+    cat "$WORK/bad_interval.err" >&2; exit 1
+  fi
+  grep -q "^error: " "$WORK/bad_interval.err" || {
+    echo "FAIL: $cmd --end 99 printed no error line" >&2
+    cat "$WORK/bad_interval.err" >&2; exit 1; }
+done
+echo "   temporal and durable both exit 2"
 
 echo "== start crashsim_serve"
 # degrade_at 0: degradation would shrink trial budgets under load and break
@@ -167,8 +188,9 @@ echo "   404/405/split-write all answered correctly"
 
 echo "== bit-identity vs crashsim_cli topk"
 "$CLI" replay --port "$PORT" --sources "3" --k 10 --once > "$WORK/served.txt"
-# --timeout_ms forces the CLI onto the same context-aware anytime path the
-# server uses; the legacy path samples a different trial stream.
+# --timeout_ms makes the CLI print the anytime trailer line
+# "(anytime: k/N trials, epsilon_achieved=...)" that replay --once prints
+# for a served answer; without it the two outputs differ in format only.
 "$CLI" topk --graph "$WORK/tiny.el" --undirected --source 3 --k 10 \
   --algo crashsim --trials 2000 --seed 42 --timeout_ms 600000 \
   > "$WORK/direct.txt"
