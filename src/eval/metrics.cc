@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "simrank/topk.h"
 #include "util/logging.h"
-#include "util/top_k.h"
 
 namespace crashsim {
 
@@ -45,13 +45,10 @@ namespace {
 
 std::vector<NodeId> TopKNodes(const std::vector<double>& scores, NodeId source,
                               int k) {
-  TopK<NodeId> top(static_cast<size_t>(k));
-  for (size_t v = 0; v < scores.size(); ++v) {
-    if (static_cast<NodeId>(v) == source) continue;
-    top.Offer(scores[v], static_cast<NodeId>(v));
-  }
   std::vector<NodeId> nodes;
-  for (const auto& [score, v] : top.Sorted()) nodes.push_back(v);
+  for (const auto& [score, v] : TopKOfScores(scores, source, k)) {
+    nodes.push_back(v);
+  }
   std::sort(nodes.begin(), nodes.end());
   return nodes;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include <poll.h>
@@ -139,30 +138,26 @@ JsonValue SpanToJson(const SpanNode& node, int64_t t0_ns) {
 }  // namespace
 
 JsonValue BuildSpanTreeJson(const RequestTrace& trace) {
-  // Slot claims are fetch_add-ordered, so filtering the slot sequence by
-  // tid yields each thread's events in program order — well-bracketed
-  // begin/end pairs with flow markers inside the enclosing span.
-  std::map<uint32_t, std::vector<const RequestTrace::Event*>> by_tid;
+  // Each thread's events in program order — well-bracketed begin/end pairs
+  // with flow markers inside the enclosing span.
   int64_t t0_ns = 0;
   for (size_t i = 0; i < trace.size(); ++i) {
-    const RequestTrace::Event& e = trace.event(i);
-    if (t0_ns == 0 || e.ts_ns < t0_ns) t0_ns = e.ts_ns;
-    by_tid[e.tid].push_back(&e);
+    if (i == 0 || trace.event(i).ts_ns < t0_ns) t0_ns = trace.event(i).ts_ns;
   }
 
   JsonValue threads = JsonValue::Array();
-  for (const auto& [tid, events] : by_tid) {
+  for (const auto& [tid, events] : TraceEventsByThread(trace)) {
     std::vector<SpanNode> roots;
     std::vector<SpanNode> stack;
     int64_t last_ts_ns = t0_ns;
-    for (const RequestTrace::Event* e : events) {
-      last_ts_ns = std::max(last_ts_ns, e->ts_ns);
-      switch (e->phase) {
+    for (const TraceEvent& e : events) {
+      last_ts_ns = std::max(last_ts_ns, e.ts_ns);
+      switch (e.phase) {
         case TraceEvent::Phase::kBegin: {
           SpanNode node;
-          node.name = e->name;
-          node.begin_ns = e->ts_ns;
-          node.end_ns = e->ts_ns;
+          node.name = e.name;
+          node.begin_ns = e.ts_ns;
+          node.end_ns = e.ts_ns;
           stack.push_back(std::move(node));
           break;
         }
@@ -170,7 +165,7 @@ JsonValue BuildSpanTreeJson(const RequestTrace& trace) {
           if (stack.empty()) break;  // truncated trace: end without begin
           SpanNode done = std::move(stack.back());
           stack.pop_back();
-          done.end_ns = e->ts_ns;
+          done.end_ns = e.ts_ns;
           if (stack.empty()) {
             roots.push_back(std::move(done));
           } else {
@@ -179,10 +174,10 @@ JsonValue BuildSpanTreeJson(const RequestTrace& trace) {
           break;
         }
         case TraceEvent::Phase::kFlowOut:
-          if (!stack.empty()) stack.back().flow_out.push_back(e->flow_id);
+          if (!stack.empty()) stack.back().flow_out.push_back(e.flow_id);
           break;
         case TraceEvent::Phase::kFlowIn:
-          if (!stack.empty()) stack.back().flow_in.push_back(e->flow_id);
+          if (!stack.empty()) stack.back().flow_in.push_back(e.flow_id);
           break;
       }
     }

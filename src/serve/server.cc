@@ -19,12 +19,12 @@
 #include "serve/debugz.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
+#include "simrank/topk.h"
 #include "util/event_log.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 #include "util/timer.h"
-#include "util/top_k.h"
 #include "util/trace.h"
 
 namespace crashsim {
@@ -52,6 +52,11 @@ FixedHistogram& TemporalLatencyHistogram() {
       "serve.temporal_ms", ExponentialBuckets(1, 2.0, 14));
   return h;
 }
+
+// Events a sampled request's collector holds: the ingress, executor, cache
+// and engine spans plus per-shard spans. Deep per-level walk detail
+// overflows by design and is reported as the trace's "dropped" count.
+constexpr size_t kRequestTraceCapacity = 512;
 
 // Binds a listening TCP socket on host:port (port 0 = ephemeral). On
 // success stores the fd and the actually bound port.
@@ -348,13 +353,17 @@ std::string Server::HandleRequest(const std::string& payload) {
   // collector before any span opens, so the ingress span, the executor
   // spans (queries run synchronously on this thread), and the ParallelFor
   // worker shards (the scope propagates through Shard) all land in one
-  // reassemblable tree. The collector lives on this stack frame; workers
-  // are joined before the epilogue reads it (read-after-quiesce contract).
+  // reassemblable tree. The collector exists only while /tracez is on; it
+  // lives on this stack frame, and workers are joined before the epilogue
+  // reads it (read-after-quiesce contract).
   const uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  RequestTrace rtrace(request_id);
+  std::optional<RequestTrace> rtrace;
   std::optional<TraceRequestScope> trace_scope;
-  if (tracez_ != nullptr) trace_scope.emplace(&rtrace);
+  if (tracez_ != nullptr) {
+    rtrace.emplace(request_id, kRequestTraceCapacity);
+    trace_scope.emplace(&*rtrace);
+  }
 
   const Stopwatch timer;
   RequestRecord record;
@@ -401,6 +410,7 @@ std::string Server::HandleRequest(const std::string& payload) {
   }  // serve.request span closed: the trace is complete for reassembly
 
   // Epilogue: rolling windows, error accounting, slow-query log, /tracez.
+  // The one elapsed reading every report of this request projects.
   const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
   std::string status = ExtractResponseStatus(response);
   if (status.empty()) status = "UNKNOWN";
@@ -411,7 +421,10 @@ std::string Server::HandleRequest(const std::string& payload) {
   const bool is_query = record.op == "topk" || record.op == "temporal";
   if (is_query) {
     const auto latency = static_cast<int64_t>(elapsed_ms);
-    (record.op == "topk" ? topk_window_ : temporal_window_)->Record(latency);
+    const bool topk = record.op == "topk";
+    (topk ? TopKLatencyHistogram() : TemporalLatencyHistogram())
+        .Record(latency);
+    (topk ? topk_window_ : temporal_window_)->Record(latency);
     slo_window_->Record(latency);
     if (latency > options_.slo_ms) {
       slo_breaches_total_.fetch_add(1, std::memory_order_relaxed);
@@ -434,8 +447,9 @@ std::string Server::HandleRequest(const std::string& payload) {
         .Bool("admitted", record.admitted)
         .Bool("degraded", record.degraded)
         .Int("retries", record.retries);
-    if (!record.stats_json.empty()) {
-      event.Raw("query_stats", record.stats_json);
+    if (!record.envelope.query.empty()) {
+      record.envelope.elapsed_seconds = elapsed_ms / 1e3;
+      event.Raw("query_stats", QueryStatsJson(record.envelope, record.stats));
     }
     options_.event_log->Log(event.Finish());
   }
@@ -450,7 +464,7 @@ std::string Server::HandleRequest(const std::string& payload) {
       entry.status = status;
       entry.elapsed_ms = elapsed_ms;
       entry.slow = slow;
-      entry.span_tree = BuildSpanTreeJson(rtrace);
+      entry.span_tree = BuildSpanTreeJson(*rtrace);
       tracez_->Add(std::move(entry));
     }
   }
@@ -460,7 +474,6 @@ std::string Server::HandleRequest(const std::string& payload) {
 std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
                                RequestRecord* record) {
   TRACE_SPAN("serve.topk");
-  const Stopwatch timer;
   const int64_t original_source = request.GetInt("source", -1);
   const auto it = id_map_.find(original_source);
   if (it == id_map_.end()) {
@@ -499,8 +512,7 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
   } else {
     ctx.emplace();
   }
-  QueryStats qstats;
-  ctx->set_stats(&qstats);
+  ctx->set_stats(&record->stats);
   ctx->set_request_id(request_id);
   QueryRequest query;
   query.ctx = &*ctx;
@@ -511,8 +523,6 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
     return CachedSingleSource(cache_.get(), engine_.get(), source, run_ctx);
   };
   const QueryOutcome outcome = executor_->Execute(query);
-  const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  TopKLatencyHistogram().Record(static_cast<int64_t>(elapsed_ms));
 
   // Per-stage split for the response, the slow-query log, and replay
   // --latency_out: engine run time divides into cache (answer lookup or
@@ -523,16 +533,13 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
   record->degraded = outcome.degraded;
   record->retries = outcome.retries;
   record->queue_ms = outcome.queue_wait_seconds * 1e3;
-  record->cache_ms = qstats.cache_wait_seconds * 1e3;
+  record->cache_ms = record->stats.cache_wait_seconds * 1e3;
   record->walk_ms =
       std::max(0.0, outcome.run_seconds * 1e3 - record->cache_ms);
-  QueryStatsEnvelope envelope;
-  envelope.query = "topk";
-  envelope.algo = "crashsim";
-  envelope.n = graph_.graph.num_nodes();
-  envelope.m = graph_.graph.num_edges();
-  envelope.elapsed_seconds = timer.ElapsedSeconds();
-  record->stats_json = QueryStatsJson(envelope, qstats);
+  record->envelope.query = "topk";
+  record->envelope.algo = "crashsim";
+  record->envelope.n = graph_.graph.num_nodes();
+  record->envelope.m = graph_.graph.num_edges();
 
   if (outcome.result.scores.empty()) {
     // Shed or failed before any scores existed: plain error response, with
@@ -543,15 +550,10 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
   }
 
   const Stopwatch serialize_timer;
-  TopK<NodeId> selector(static_cast<size_t>(k));
-  for (NodeId v = 0; v < graph_.graph.num_nodes(); ++v) {
-    if (v != source) {
-      selector.Offer(outcome.result.scores[static_cast<size_t>(v)], v);
-    }
-  }
   JsonValue nodes = JsonValue::Array();
   JsonValue scores = JsonValue::Array();
-  for (const auto& [score, v] : selector.Sorted()) {
+  for (const auto& [score, v] : TopKOfScores(outcome.result.scores, source,
+                                             static_cast<int>(k))) {
     nodes.Append(JsonValue(graph_.original_ids[static_cast<size_t>(v)]));
     scores.Append(JsonValue(score));
   }
@@ -593,7 +595,6 @@ std::string Server::HandleTemporal(const JsonValue& request,
                                    uint64_t request_id,
                                    RequestRecord* record) {
   TRACE_SPAN("serve.temporal");
-  const Stopwatch timer;
   if (!temporal_.has_value()) {
     return FinishError(
         ErrorResponse(InvalidArgumentError(
@@ -619,12 +620,28 @@ std::string Server::HandleTemporal(const JsonValue& request,
         request_id);
   }
 
+  // Range-check the interval as int64 before narrowing: a silently wrapped
+  // bound would answer a different interval than the one asked for.
+  const int64_t snapshots = tg.num_snapshots();
+  const int64_t begin = request.GetInt("begin", 0);
+  const int64_t end = request.GetInt("end", -1);
+  if (begin < 0 || begin >= snapshots || end < -1 || end >= snapshots) {
+    return FinishError(
+        ErrorResponse(InvalidArgumentError(StrFormat(
+                          "begin must be in [0, %lld) and end in [-1, %lld) "
+                          "(-1 = last snapshot), got begin=%lld end=%lld",
+                          static_cast<long long>(snapshots),
+                          static_cast<long long>(snapshots),
+                          static_cast<long long>(begin),
+                          static_cast<long long>(end))),
+                      &request),
+        request_id);
+  }
   TemporalQuery query;
   query.source = source;
-  query.begin_snapshot = static_cast<int>(request.GetInt("begin", 0));
-  const int64_t end = request.GetInt("end", -1);
+  query.begin_snapshot = static_cast<int>(begin);
   query.end_snapshot =
-      end < 0 ? tg.num_snapshots() - 1 : static_cast<int>(end);
+      static_cast<int>(end == -1 ? snapshots - 1 : end);
   query.theta = request.GetDouble("theta", 0.05);
   query.trend_tolerance = request.GetDouble("tolerance", 0.0);
   const std::string kind = request.GetString("kind", "threshold");
@@ -658,8 +675,7 @@ std::string Server::HandleTemporal(const JsonValue& request,
     ctx.emplace();
   }
   ctx->set_request_id(request_id);
-  QueryStats qstats;
-  ctx->set_stats(&qstats);
+  ctx->set_stats(&record->stats);
   CrashSimTOptions temporal_options;
   temporal_options.crashsim = options_.engine;
   TemporalAnswer answer;
@@ -675,8 +691,6 @@ std::string Server::HandleTemporal(const JsonValue& request,
     return r;
   };
   const QueryOutcome outcome = executor_->Execute(query_request);
-  const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  TemporalLatencyHistogram().Record(static_cast<int64_t>(elapsed_ms));
 
   record->admitted = outcome.admitted;
   record->degraded = outcome.degraded;
@@ -685,13 +699,9 @@ std::string Server::HandleTemporal(const JsonValue& request,
   // Temporal queries build per-request trees (no shared cache), so the
   // whole engine run counts as walk time.
   record->walk_ms = outcome.run_seconds * 1e3;
-  QueryStatsEnvelope envelope;
-  envelope.query = "temporal";
-  envelope.algo = "crashsim-t";
-  envelope.n = tg.num_nodes();
-  envelope.m = 0;
-  envelope.elapsed_seconds = timer.ElapsedSeconds();
-  record->stats_json = QueryStatsJson(envelope, qstats);
+  record->envelope.query = "temporal";
+  record->envelope.algo = "crashsim-t";
+  record->envelope.n = tg.num_nodes();
 
   if (!outcome.admitted) {
     JsonValue response = ErrorResponse(outcome.result.status, &request);

@@ -12,6 +12,7 @@
 
 #include "core/crashsim.h"
 #include "core/executor.h"
+#include "core/query_stats.h"
 #include "core/tree_cache.h"
 #include "graph/graph_io.h"
 #include "util/metrics.h"
@@ -51,11 +52,12 @@ class EventLog;  // util/event_log.h
 // Request-scoped observability (docs/OBSERVABILITY.md): every request is
 // assigned a monotonically increasing request_id at ingress, echoed in the
 // response, stamped on QueryContext, and carried by a per-request
-// RequestTrace through the executor, tree cache, engine, and ParallelFor
-// shards, so /tracez can reassemble the full ingress->executor->engine span
-// tree. Requests that exceed slow_query_ms (or finish non-OK) additionally
-// emit a structured slow_query line to the EventLog with the per-stage time
-// split (queue wait / cache / walk / serialize) and the full QueryStats.
+// RequestTrace (built only while /tracez is on) through the executor, tree
+// cache, engine, and ParallelFor shards, so /tracez can reassemble the full
+// ingress->executor->engine span tree. Requests that exceed slow_query_ms
+// (or finish non-OK) additionally emit a structured slow_query line to the
+// EventLog with the per-stage time split (queue wait / cache / walk /
+// serialize) and the full QueryStats.
 
 struct ServerOptions {
   // TCP listen address. Port 0 binds an ephemeral port (tests, smoke);
@@ -148,7 +150,11 @@ class Server {
     double cache_ms = 0.0;      // answer lookup/wait + tree lookup/build
     double walk_ms = 0.0;       // engine run minus cache time
     double serialize_ms = 0.0;  // response assembly after the engine
-    std::string stats_json;     // crashsim.query_stats.v1, "" when not run
+    // The engine's work counters and their envelope; envelope.query stays
+    // "" unless the executor ran the query. Rendered as
+    // crashsim.query_stats.v1 only when the slow-query event is emitted.
+    QueryStatsEnvelope envelope;
+    QueryStats stats;
   };
 
   void AcceptLoop();

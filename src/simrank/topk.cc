@@ -5,15 +5,19 @@
 
 namespace crashsim {
 
-TopKResult TopKSimRank(SimRankAlgorithm* algorithm, NodeId source, int k) {
+TopKResult TopKOfScores(std::span<const double> scores, NodeId source,
+                        int k) {
   CRASHSIM_CHECK_GT(k, 0);
-  const std::vector<double> scores = algorithm->SingleSource(source);
   TopK<NodeId> top(static_cast<size_t>(k));
   for (size_t v = 0; v < scores.size(); ++v) {
     if (static_cast<NodeId>(v) == source) continue;
     top.Offer(scores[v], static_cast<NodeId>(v));
   }
   return top.Sorted();
+}
+
+TopKResult TopKSimRank(SimRankAlgorithm* algorithm, NodeId source, int k) {
+  return TopKOfScores(algorithm->SingleSource(source), source, k);
 }
 
 TopKResult TopKSimRank(SimRankAlgorithm* algorithm, NodeId source, int k,

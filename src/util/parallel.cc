@@ -70,9 +70,9 @@ struct ForState {
 
 // A contiguous shard of one ParallelFor range, queued for a pool worker.
 // flow_id ties the shard back to the spawning ParallelFor span in traces
-// (0 = tracing was off at submit time). request_trace carries the
-// submitting thread's request collector so worker-side spans land in the
-// same per-request trace (nullptr = no request scope at submit time).
+// (0 = no collector at submit time). request_trace carries the submitting
+// thread's collector so worker-side spans land in the same trace (nullptr =
+// none installed at submit time).
 struct Shard {
   ForState* state = nullptr;
   int64_t begin = 0;
@@ -196,12 +196,10 @@ void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
   ForState state;
   state.fn = &fn;
 
-  // Flow arrow from this call's span to every shard span it spawns. A
-  // request scope counts as a recorder: its collector receives the flow
-  // events even when global tracing is off.
+  // Flow arrow from this call's span to every shard span it spawns, minted
+  // only when a collector is installed to record it.
   RequestTrace* const request_trace = CurrentRequestTrace();
-  const uint64_t flow_id =
-      (TraceEnabled() || request_trace != nullptr) ? NewTraceFlowId() : 0;
+  const uint64_t flow_id = request_trace != nullptr ? NewTraceFlowId() : 0;
   TraceFlowOut(flow_id);
 
   std::vector<Shard> shards;

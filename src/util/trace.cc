@@ -2,124 +2,37 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "util/metrics.h"
-#include "util/mutex.h"
 #include "util/string_util.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace crashsim {
 namespace {
 
-// Drops across both recorders (global rings and request collectors),
-// exported as crashsim_trace_dropped_events_total so silent overflow is
-// visible on /metrics (the in-process TraceDroppedEvents() only covers the
-// global rings and resets with StartTracing()).
+// Collector overflow, exported as crashsim_trace_dropped_events_total so
+// silent truncation is visible on /metrics.
 Counter& TraceDropCounter() {
   static Counter& c =
       MetricsRegistry::Global().counter("trace.dropped_events");
   return c;
 }
 
+// Small process-unique id of the calling thread, drawn on its first
+// recorded event. Nothing else is kept per thread.
+uint32_t TraceThreadId() {
+  static std::atomic<uint32_t> next_tid{0};
+  thread_local const uint32_t tid =
+      next_tid.fetch_add(1, std::memory_order_relaxed);
+  return tid;
+}
+
 }  // namespace
 
 namespace trace_internal {
 
-std::atomic<bool> g_trace_enabled{false};
-
 thread_local constinit RequestTrace* g_request_trace = nullptr;
-
-// Per-thread event buffer. Only the owning thread writes slots; size_ is a
-// release-store after the slot write, so a reader that acquire-loads size_
-// sees fully written events below it. The buffer never wraps or reallocates:
-// when full, events are dropped and counted — recording must never block,
-// allocate, or tear an event another thread might read.
-class ThreadBuffer {
- public:
-  // 64Ki events (~2 MiB) per thread: block/level-granularity spans stay far
-  // below this for any realistic query; the drop counter reports overflow.
-  static constexpr size_t kCapacity = size_t{1} << 16;
-
-  explicit ThreadBuffer(uint32_t tid)
-      : tid_(tid), slots_(new TraceEvent[kCapacity]) {}
-
-  uint32_t tid() const { return tid_; }
-
-  void Push(const char* name, TraceEvent::Phase phase, uint64_t flow_id,
-            uint64_t request_id) {
-    const size_t i = size_.load(std::memory_order_relaxed);
-    if (i >= kCapacity) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      TraceDropCounter().Add(1);
-      return;
-    }
-    TraceEvent& e = slots_[i];
-    e.name = name;
-    e.ts_ns = SteadyNowNanos();
-    e.flow_id = flow_id;
-    e.request_id = request_id;
-    e.phase = phase;
-    size_.store(i + 1, std::memory_order_release);
-  }
-
-  // Reader side (export/snapshot): events visible at the acquire point.
-  std::vector<TraceEvent> Snapshot() const {
-    const size_t n = size_.load(std::memory_order_acquire);
-    return std::vector<TraceEvent>(slots_.get(), slots_.get() + n);
-  }
-
-  int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  // StartTracing() only: rewinds the buffer. Racing recorders at worst land
-  // events from the old session in the new one (the atomics keep this
-  // race benign); the export contract requires quiesced writers anyway.
-  void Reset() {
-    size_.store(0, std::memory_order_relaxed);
-    dropped_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  const uint32_t tid_;
-  std::unique_ptr<TraceEvent[]> slots_;
-  std::atomic<size_t> size_{0};
-  std::atomic<int64_t> dropped_{0};
-};
-
-namespace {
-
-struct Registry {
-  Mutex mu;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers CRASHSIM_GUARDED_BY(mu);
-  std::atomic<uint64_t> next_flow_id{1};
-};
-
-Registry& GlobalRegistry() {
-  static Registry* const registry = new Registry();  // leaked: recording
-  return *registry;  // threads may outlive static destruction order
-}
-
-}  // namespace
-
-ThreadBuffer* CurrentThreadBuffer() {
-  thread_local ThreadBuffer* const buffer = [] {
-    Registry& r = GlobalRegistry();
-    const MutexLock lock(r.mu);
-    r.buffers.push_back(std::make_unique<ThreadBuffer>(
-        static_cast<uint32_t>(r.buffers.size())));
-    return r.buffers.back().get();
-  }();
-  return buffer;
-}
-
-void Record(ThreadBuffer* buf, const char* name, TraceEvent::Phase phase,
-            uint64_t flow_id, uint64_t request_id) {
-  buf->Push(name, phase, flow_id, request_id);
-}
 
 }  // namespace trace_internal
 
@@ -130,27 +43,30 @@ void RequestTrace::Append(const char* name, TraceEvent::Phase phase,
   // reader is external (the quiesce contract in the header), so relaxed
   // claim ordering suffices.
   const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-  if (i >= kCapacity) {
+  if (i >= capacity_) {
     TraceDropCounter().Add(1);
     return;
   }
-  Event& e = events_[i];
-  e.name = name;
-  e.ts_ns = SteadyNowNanos();
-  e.flow_id = flow_id;
-  e.tid = trace_internal::CurrentThreadBuffer()->tid();
-  e.phase = phase;
+  events_[i] = {name, SteadyNowNanos(), flow_id, TraceThreadId(), phase};
+}
+
+std::map<uint32_t, std::vector<TraceEvent>> TraceEventsByThread(
+    const RequestTrace& trace) {
+  std::map<uint32_t, std::vector<TraceEvent>> by_tid;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace.event(i);
+    by_tid[e.tid].push_back(e);
+  }
+  return by_tid;
 }
 
 namespace {
 
-using trace_internal::GlobalRegistry;
-
 // Walks one thread's events, calling span(name, begin_ns, end_ns, depth,
-// child_ns) for every span in close order. Orphan end events (their begin
-// was lost to a buffer reset) are skipped; spans still open at the end of
-// the sequence are closed at the thread's last timestamp, so every begin
-// yields exactly one span.
+// child_ns) for every span in close order. Orphan end events are skipped;
+// spans still open at the end of the sequence (the collector filled up, or
+// the export ran inside an open span) are closed at the thread's last
+// timestamp, so every begin yields exactly one span.
 template <typename SpanFn>
 void WalkSpans(const std::vector<TraceEvent>& events, SpanFn&& span) {
   struct Open {
@@ -207,105 +123,51 @@ void AppendChromeEvent(std::string* out, bool* first, const char* name,
 
 }  // namespace
 
-bool TraceEnabled() {
-  return trace_internal::g_trace_enabled.load(std::memory_order_relaxed);
-}
-
-void StartTracing() {
-  auto& r = GlobalRegistry();
-  const MutexLock lock(r.mu);
-  for (auto& buf : r.buffers) buf->Reset();
-  trace_internal::g_trace_enabled.store(true, std::memory_order_relaxed);
-}
-
-void StopTracing() {
-  trace_internal::g_trace_enabled.store(false, std::memory_order_relaxed);
-}
-
 uint64_t NewTraceFlowId() {
-  return GlobalRegistry().next_flow_id.fetch_add(1,
-                                                 std::memory_order_relaxed);
+  static std::atomic<uint64_t> next_flow_id{1};
+  return next_flow_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TraceFlowOut(uint64_t flow_id) {
-  if (flow_id == 0) return;
-  RequestTrace* const req = trace_internal::g_request_trace;
-  if (TraceEnabled()) {
-    trace_internal::Record(trace_internal::CurrentThreadBuffer(),
-                           "flow", TraceEvent::Phase::kFlowOut, flow_id,
-                           req != nullptr ? req->request_id() : 0);
-  }
-  if (req != nullptr) {
-    req->Append("flow", TraceEvent::Phase::kFlowOut, flow_id);
+  RequestTrace* const trace = trace_internal::g_request_trace;
+  if (trace != nullptr && flow_id != 0) {
+    trace->Append("flow", TraceEvent::Phase::kFlowOut, flow_id);
   }
 }
 
 void TraceFlowIn(uint64_t flow_id) {
-  if (flow_id == 0) return;
-  RequestTrace* const req = trace_internal::g_request_trace;
-  if (TraceEnabled()) {
-    trace_internal::Record(trace_internal::CurrentThreadBuffer(),
-                           "flow", TraceEvent::Phase::kFlowIn, flow_id,
-                           req != nullptr ? req->request_id() : 0);
-  }
-  if (req != nullptr) {
-    req->Append("flow", TraceEvent::Phase::kFlowIn, flow_id);
+  RequestTrace* const trace = trace_internal::g_request_trace;
+  if (trace != nullptr && flow_id != 0) {
+    trace->Append("flow", TraceEvent::Phase::kFlowIn, flow_id);
   }
 }
 
-std::vector<TraceThreadEvents> SnapshotTraceEvents() {
-  auto& r = GlobalRegistry();
-  const MutexLock lock(r.mu);
-  std::vector<TraceThreadEvents> out;
-  out.reserve(r.buffers.size());
-  for (const auto& buf : r.buffers) {
-    TraceThreadEvents t;
-    t.tid = buf->tid();
-    t.events = buf->Snapshot();
-    if (!t.events.empty()) out.push_back(std::move(t));
-  }
-  return out;
-}
-
-int64_t TraceDroppedEvents() {
-  auto& r = GlobalRegistry();
-  const MutexLock lock(r.mu);
-  int64_t total = 0;
-  for (const auto& buf : r.buffers) total += buf->dropped();
-  return total;
-}
-
-std::string ExportChromeTrace() {
-  const std::vector<TraceThreadEvents> threads = SnapshotTraceEvents();
+std::string ExportChromeTrace(const RequestTrace& trace) {
   // Relative timestamps: microsecond offsets from the first recorded event.
   int64_t epoch_ns = 0;
-  bool have_epoch = false;
-  for (const TraceThreadEvents& t : threads) {
-    for (const TraceEvent& e : t.events) {
-      if (!have_epoch || e.ts_ns < epoch_ns) {
-        epoch_ns = e.ts_ns;
-        have_epoch = true;
-      }
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (i == 0 || trace.event(i).ts_ns < epoch_ns) {
+      epoch_ns = trace.event(i).ts_ns;
     }
   }
 
   std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   bool first = true;
-  for (const TraceThreadEvents& t : threads) {
+  for (const auto& [tid, events] : TraceEventsByThread(trace)) {
     // Duration events, re-bracketed by the walker so unmatched begins are
     // closed and orphan ends vanish: Perfetto rejects unbalanced B/E.
     std::vector<std::pair<int64_t, std::string>> spans;  // (ts, rendered B/E)
-    WalkSpans(t.events,
+    WalkSpans(events,
               [&](const char* name, int64_t begin_ns, int64_t end_ns,
                   size_t /*depth*/, int64_t /*child_ns*/) {
                 std::string b;
                 bool bf = true;
-                AppendChromeEvent(&b, &bf, name, "B", t.tid, begin_ns,
+                AppendChromeEvent(&b, &bf, name, "B", tid, begin_ns,
                                   epoch_ns, "");
                 spans.push_back({begin_ns, std::move(b)});
                 std::string e;
                 bool ef = true;
-                AppendChromeEvent(&e, &ef, name, "E", t.tid, end_ns, epoch_ns,
+                AppendChromeEvent(&e, &ef, name, "E", tid, end_ns, epoch_ns,
                                   "");
                 spans.push_back({end_ns, std::move(e)});
               });
@@ -320,14 +182,14 @@ std::string ExportChromeTrace() {
       first = false;
       out += rendered;
     }
-    for (const TraceEvent& e : t.events) {
+    for (const TraceEvent& e : events) {
       if (e.phase == TraceEvent::Phase::kFlowOut) {
-        AppendChromeEvent(&out, &first, e.name, "s", t.tid, e.ts_ns, epoch_ns,
+        AppendChromeEvent(&out, &first, e.name, "s", tid, e.ts_ns, epoch_ns,
                           StrFormat(", \"id\": %llu",
                                     static_cast<unsigned long long>(e.flow_id))
                               .c_str());
       } else if (e.phase == TraceEvent::Phase::kFlowIn) {
-        AppendChromeEvent(&out, &first, e.name, "f", t.tid, e.ts_ns, epoch_ns,
+        AppendChromeEvent(&out, &first, e.name, "f", tid, e.ts_ns, epoch_ns,
                           StrFormat(", \"bp\": \"e\", \"id\": %llu",
                                     static_cast<unsigned long long>(e.flow_id))
                               .c_str());
@@ -338,10 +200,10 @@ std::string ExportChromeTrace() {
   return out;
 }
 
-std::vector<TraceAggregateRow> AggregateTrace() {
+std::vector<TraceAggregateRow> AggregateTrace(const RequestTrace& trace) {
   std::map<std::string, TraceAggregateRow> by_name;
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    WalkSpans(t.events, [&](const char* name, int64_t begin_ns,
+  for (const auto& [tid, events] : TraceEventsByThread(trace)) {
+    WalkSpans(events, [&](const char* name, int64_t begin_ns,
                             int64_t end_ns, size_t /*depth*/,
                             int64_t child_ns) {
       TraceAggregateRow& row = by_name[name];
@@ -362,8 +224,8 @@ std::vector<TraceAggregateRow> AggregateTrace() {
   return rows;
 }
 
-std::string ExportTraceAggregateTable() {
-  const std::vector<TraceAggregateRow> rows = AggregateTrace();
+std::string ExportTraceAggregateTable(const RequestTrace& trace) {
+  const std::vector<TraceAggregateRow> rows = AggregateTrace(trace);
   std::string out = StrFormat("%-32s %8s %12s %12s\n", "span", "count",
                               "total_ms", "self_ms");
   for (const TraceAggregateRow& row : rows) {
@@ -372,34 +234,11 @@ std::string ExportTraceAggregateTable() {
                      static_cast<double>(row.total_ns) / 1e6,
                      static_cast<double>(row.self_ns) / 1e6);
   }
-  const int64_t dropped = TraceDroppedEvents();
-  if (dropped > 0) {
+  if (trace.dropped() > 0) {
     out += StrFormat("(%lld event(s) dropped: buffer full)\n",
-                     static_cast<long long>(dropped));
+                     static_cast<long long>(trace.dropped()));
   }
   return out;
-}
-
-void TraceSpan::Begin(const char* name) {
-  name_ = name;
-  req_ = trace_internal::g_request_trace;
-  // The global ring and the request collector record independently: global
-  // tracing may be off while a request scope is installed (the always-on
-  // serving path) and vice versa (offline CLI tracing).
-  if (trace_internal::g_trace_enabled.load(std::memory_order_relaxed)) {
-    buf_ = trace_internal::CurrentThreadBuffer();
-    trace_internal::Record(buf_, name, TraceEvent::Phase::kBegin, 0,
-                           req_ != nullptr ? req_->request_id() : 0);
-  }
-  if (req_ != nullptr) req_->Append(name, TraceEvent::Phase::kBegin, 0);
-}
-
-void TraceSpan::End() {
-  if (buf_ != nullptr) {
-    trace_internal::Record(buf_, name_, TraceEvent::Phase::kEnd, 0,
-                           req_ != nullptr ? req_->request_id() : 0);
-  }
-  if (req_ != nullptr) req_->Append(name_, TraceEvent::Phase::kEnd, 0);
 }
 
 }  // namespace crashsim

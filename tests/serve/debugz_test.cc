@@ -134,7 +134,7 @@ TEST(SendHttpResponseTest, WritesStatusHeadersAndBody) {
 }
 
 TEST(BuildSpanTreeJsonTest, RebuildsNestingFromBracketedEvents) {
-  RequestTrace trace(17);
+  RequestTrace trace(17, /*capacity=*/512);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("serve.request");
@@ -170,7 +170,7 @@ TEST(BuildSpanTreeJsonTest, RebuildsNestingFromBracketedEvents) {
 }
 
 TEST(BuildSpanTreeJsonTest, ParallelShardsAppearOnTheirOwnThreads) {
-  RequestTrace trace(18);
+  RequestTrace trace(18, /*capacity=*/512);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("serve.request");
@@ -196,7 +196,7 @@ TEST(BuildSpanTreeJsonTest, ParallelShardsAppearOnTheirOwnThreads) {
 TEST(BuildSpanTreeJsonTest, OpenSpansAreClosedAtLastTimestamp) {
   // Simulate a trace that quiesced with a span still open (snapshot
   // semantics): the builder must still emit a structurally complete tree.
-  RequestTrace trace(19);
+  RequestTrace trace(19, /*capacity=*/512);
   trace.Append("serve.request", TraceEvent::Phase::kBegin, 0);
   trace.Append("engine.walk", TraceEvent::Phase::kBegin, 0);
   trace.Append("engine.walk", TraceEvent::Phase::kEnd, 0);

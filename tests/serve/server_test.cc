@@ -327,6 +327,34 @@ TEST(ServerTest, TemporalQueryRoundTrip) {
   server.Shutdown();
 }
 
+TEST(ServerTest, TemporalIntervalOutOfRangeIsRejectedNotWrapped) {
+  LoadedTemporalGraph temporal = TestTemporalGraph();  // 4 snapshots
+  LoadedGraph loaded;
+  loaded.graph = temporal.graph.Snapshot(0);
+  loaded.original_ids = temporal.original_ids;
+  Server server(std::move(loaded), std::move(temporal), TestServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  // 2^32 and 2^32 + 3 narrow to 0 and 3 as int; -7 is not the documented
+  // "last snapshot" sentinel (-1). None may be answered as another interval.
+  const std::pair<int64_t, int64_t> intervals[] = {
+      {int64_t{4294967296}, 3}, {0, int64_t{4294967299}}, {0, -7}};
+  for (const auto& [begin, end] : intervals) {
+    JsonValue request = JsonValue::Object();
+    request.Set("op", JsonValue(std::string("temporal")));
+    request.Set("source", JsonValue(int64_t{503}));
+    request.Set("begin", JsonValue(begin));
+    request.Set("end", JsonValue(end));
+    StatusOr<JsonValue> response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status", ""), "INVALID_ARGUMENT")
+        << "begin=" << begin << " end=" << end;
+  }
+  server.Shutdown();
+}
+
 TEST(ServerTest, ConcurrentHotSourceClientsShareOneTree) {
   Server server(TestGraph(), std::nullopt, TestServerOptions());
   ASSERT_TRUE(server.Start().ok());
@@ -738,6 +766,58 @@ TEST(ServerTest, SlowQueryEventsLandInTheEventLog) {
   }
   EXPECT_TRUE(saw_ok);
   EXPECT_TRUE(saw_error);
+}
+
+TEST(ServerTest, SlowQueryStatsShareTheRequestElapsedReading) {
+  const test::TempPath temp("one_clock.jsonl");
+  EventLog::Options log_options;
+  log_options.path = temp.path();
+  EventLog event_log(log_options);
+  ASSERT_TRUE(event_log.ok());
+
+  LoadedTemporalGraph temporal = TestTemporalGraph();
+  LoadedGraph loaded;
+  loaded.graph = temporal.graph.Snapshot(0);
+  loaded.original_ids = temporal.original_ids;
+  ServerOptions options = TestServerOptions();
+  options.engine.mc.trials_override = 80;
+  options.event_log = &event_log;
+  options.slow_query_ms = 0;  // log every request
+  Server server(std::move(loaded), std::move(temporal), options);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    JsonValue temporal_request = JsonValue::Object();
+    temporal_request.Set("op", JsonValue(std::string("temporal")));
+    temporal_request.Set("source", JsonValue(int64_t{503}));
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(client.Call(TopKRequest(500 + i, 5)).ok());
+      ASSERT_TRUE(client.Call(temporal_request).ok());
+    }
+  }
+  server.Shutdown();
+  event_log.Flush();
+
+  // The event's elapsed_ms and its query_stats.elapsed_seconds are the same
+  // reading, so they agree to the precision they are printed with (%.6g
+  // for elapsed_ms).
+  std::ifstream in(temp.path());
+  std::string line;
+  int checked = 0;
+  while (std::getline(in, line)) {
+    StatusOr<JsonValue> event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    if (event->GetString("event", "") != "slow_query") continue;
+    const JsonValue* stats = event->Find("query_stats");
+    ASSERT_NE(stats, nullptr) << line;
+    const double elapsed_ms = event->GetDouble("elapsed_ms", -1.0);
+    const double stats_ms = stats->GetDouble("elapsed_seconds", -1.0) * 1e3;
+    EXPECT_GT(elapsed_ms, 0.0) << line;
+    EXPECT_NEAR(stats_ms, elapsed_ms, 1e-5 * elapsed_ms) << line;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 6);
 }
 
 }  // namespace

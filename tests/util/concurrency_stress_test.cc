@@ -1,14 +1,15 @@
 // Concurrency stress suite for the parallel core, sized so a ThreadSanitizer
 // build (tools/run_sanitized_tests.sh thread) finishes in tier-1 time. These
 // tests earn their keep under TSan — on a plain build they are quick sanity
-// checks; instrumented, they are the race detectors for the three places the
+// checks; instrumented, they are the race detectors for the places the
 // engine shares state across threads:
 //
 //   1. ParallelFor's persistent pool (nested calls, exception unwinding,
 //      concurrent independent callers),
 //   2. the sharded metrics registry (concurrent create + increment + read),
 //   3. QueryContext's deadline/cancel flags racing a running CrashSim query
-//      that writes QueryStats.
+//      that writes QueryStats,
+//   4. one trace collector shared by several recording threads.
 //
 // std::thread is used directly here on purpose: the point is to attack the
 // library from outside ParallelFor's own discipline. (The invariant linter
@@ -303,43 +304,61 @@ TEST(ConcurrencyStressTest, ParallelQueriesShareEngineReadOnly) {
   }
 }
 
-TEST(ConcurrencyStressTest, TracingRecordersRaceStartStopToggles) {
-  // Recorder threads hammer the per-thread ring buffers (spans + flow
-  // events) while the main thread flips StartTracing/StopTracing, which
-  // concurrently resets every registered buffer. Under TSan this exercises
-  // the single-writer/many-reset protocol: size_ is the only cross-thread
-  // handoff, published with release stores and reread with acquire loads.
+TEST(ConcurrencyStressTest, TracingRecordersShareOneCollectorPastCapacity) {
+  // Four recorder threads install the same collector and hammer it with
+  // spans and flow events until it overflows. Under TSan this exercises the
+  // claim-then-write protocol (fetch_add slot claims, each slot written by
+  // its claimer only) and the read-after-join contract of the exporters.
   constexpr int kRecorders = 4;
-  std::atomic<bool> stop{false};
+  constexpr int kIterations = 2000;  // 5 events each: 40k events total
+  RequestTrace trace(/*request_id=*/1, /*capacity=*/4096);
   std::vector<std::thread> threads;
   threads.reserve(kRecorders);
   for (int t = 0; t < kRecorders; ++t) {
-    threads.emplace_back([&stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
+    threads.emplace_back([&trace] {
+      const TraceRequestScope scope(&trace);
+      for (int i = 0; i < kIterations; ++i) {
         TRACE_SPAN("stress.outer");
-        TraceFlowOut(TraceEnabled() ? NewTraceFlowId() : 0);
+        TraceFlowOut(NewTraceFlowId());
         {
           TRACE_SPAN("stress.inner");
         }
       }
     });
   }
-  for (int i = 0; i < 50; ++i) {
-    StartTracing();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    StopTracing();
-  }
-  stop.store(true, std::memory_order_relaxed);
   for (std::thread& th : threads) th.join();
 
-  // Writers have joined, so exporting is safe and must stay balanced even
-  // though mid-span resets left torn begin/end pairs in the buffers.
-  const std::string json = ExportChromeTrace();
-  EXPECT_FALSE(json.empty());
-  const std::string table = ExportTraceAggregateTable();
-  EXPECT_FALSE(table.empty());
-  StartTracing();  // leave no stale events behind for later tests
-  StopTracing();
+  EXPECT_EQ(trace.size(), trace.capacity());
+  EXPECT_EQ(trace.dropped(),
+            static_cast<int64_t>(kRecorders * kIterations * 5) -
+                static_cast<int64_t>(trace.capacity()));
+  // Each thread's surviving events are a bracketed prefix of what it
+  // recorded: no end ever precedes its begin.
+  for (const auto& [tid, events] : TraceEventsByThread(trace)) {
+    int depth = 0;
+    for (const TraceEvent& e : events) {
+      if (e.phase == TraceEvent::Phase::kBegin) ++depth;
+      if (e.phase == TraceEvent::Phase::kEnd) --depth;
+      ASSERT_GE(depth, 0) << "thread " << tid;
+    }
+  }
+  // The export closes the spans the overflow cut open.
+  const std::string json = ExportChromeTrace(trace);
+  const auto count = [&json](const std::string& needle) {
+    int n = 0;
+    for (size_t pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  const int begins = count("\"ph\": \"B\"");
+  const int ends = count("\"ph\": \"E\"");
+  EXPECT_GT(begins, 0);
+  EXPECT_EQ(begins, ends);
+  const std::string table = ExportTraceAggregateTable(trace);
+  EXPECT_NE(table.find("stress.outer"), std::string::npos);
+  EXPECT_NE(table.find("dropped"), std::string::npos);
 }
 
 }  // namespace

@@ -26,46 +26,43 @@ int CountOccurrences(const std::string& hay, const std::string& needle) {
   return count;
 }
 
-// This thread's recorded events (tests run single-threaded unless they
-// explicitly spawn work, so the first non-empty buffer is ours).
-std::vector<TraceEvent> OwnThreadEvents() {
-  for (TraceThreadEvents& t : SnapshotTraceEvents()) {
-    if (!t.events.empty()) return std::move(t.events);
-  }
-  return {};
-}
+// Room for every test below; no test comes near it except the overflow
+// cases, which size their own collectors.
+constexpr size_t kTestCapacity = 4096;
 
-TEST(TraceTest, DisabledByDefaultAndToggles) {
-  EXPECT_FALSE(TraceEnabled());
-  StartTracing();
-  EXPECT_TRUE(TraceEnabled());
-  StopTracing();
-  EXPECT_FALSE(TraceEnabled());
+// This thread's recorded events, in record order.
+std::vector<TraceEvent> OwnThreadEvents(const RequestTrace& trace) {
+  std::vector<TraceEvent> events;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace.event(i).tid == trace.event(0).tid) {
+      events.push_back(trace.event(i));
+    }
+  }
+  return events;
 }
 
 TEST(TraceTest, DisabledSpansRecordNothing) {
-  StartTracing();
-  StopTracing();  // resets buffers, leaves tracing off
+  RequestTrace trace(/*request_id=*/1, kTestCapacity);
   {
+    // Opened with no collector installed: neither its begin nor (after the
+    // scope below installs one) its end is recorded anywhere.
     TRACE_SPAN("never.recorded");
+    const TraceRequestScope scope(&trace);
   }
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
-      EXPECT_STRNE(e.name, "never.recorded");
-    }
-  }
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_EQ(CurrentRequestTrace(), nullptr);
 }
 
 TEST(TraceTest, BeginEndPairsAreBalancedAndNested) {
-  StartTracing();
+  RequestTrace trace(1, kTestCapacity);
   {
+    const TraceRequestScope scope(&trace);
     TRACE_SPAN("outer");
     {
       TRACE_SPAN("inner");
     }
   }
-  StopTracing();
-  const std::vector<TraceEvent> events = OwnThreadEvents();
+  const std::vector<TraceEvent> events = OwnThreadEvents(trace);
   ASSERT_EQ(events.size(), 4u);
   EXPECT_STREQ(events[0].name, "outer");
   EXPECT_EQ(events[0].phase, TraceEvent::Phase::kBegin);
@@ -82,8 +79,9 @@ TEST(TraceTest, BeginEndPairsAreBalancedAndNested) {
 }
 
 TEST(TraceTest, AggregateSplitsSelfFromTotal) {
-  StartTracing();
+  RequestTrace trace(1, kTestCapacity);
   {
+    const TraceRequestScope scope(&trace);
     TRACE_SPAN("agg.outer");
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     {
@@ -91,8 +89,7 @@ TEST(TraceTest, AggregateSplitsSelfFromTotal) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
-  StopTracing();
-  const std::vector<TraceAggregateRow> rows = AggregateTrace();
+  const std::vector<TraceAggregateRow> rows = AggregateTrace(trace);
   const TraceAggregateRow* outer = nullptr;
   const TraceAggregateRow* inner = nullptr;
   for (const TraceAggregateRow& r : rows) {
@@ -109,19 +106,20 @@ TEST(TraceTest, AggregateSplitsSelfFromTotal) {
   // inner has no children: self == total, and it slept >= 10ms.
   EXPECT_EQ(inner->self_ns, inner->total_ns);
   EXPECT_GE(inner->total_ns, 9 * 1000 * 1000);
-  const std::string table = ExportTraceAggregateTable();
+  const std::string table = ExportTraceAggregateTable(trace);
   EXPECT_NE(table.find("agg.outer"), std::string::npos);
   EXPECT_NE(table.find("self_ms"), std::string::npos);
+  EXPECT_EQ(table.find("dropped"), std::string::npos);
 }
 
 TEST(TraceTest, ChromeExportIsBalancedJson) {
-  StartTracing();
+  RequestTrace trace(1, kTestCapacity);
   {
+    const TraceRequestScope scope(&trace);
     TRACE_SPAN("chrome \"quoted\\name\"");  // exercises JSON escaping
     TRACE_SPAN("chrome.second");
   }
-  StopTracing();
-  const std::string json = ExportChromeTrace();
+  const std::string json = ExportChromeTrace(trace);
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
@@ -134,38 +132,45 @@ TEST(TraceTest, ChromeExportIsBalancedJson) {
 }
 
 TEST(TraceTest, UnclosedSpanIsSynthesizedClosed) {
-  auto* leak = new TraceSpan("pre.start");  // never recorded: tracing off
-  StartTracing();
+  RequestTrace trace(1, kTestCapacity);
+  auto* before = new TraceSpan("pre.install");  // never recorded
+  auto scope = std::make_unique<TraceRequestScope>(&trace);
   auto* open = new TraceSpan("left.open");
   {
     TRACE_SPAN("closed.child");
   }
-  StopTracing();
-  const std::string json = ExportChromeTrace();
+  scope.reset();
+  const std::string json = ExportChromeTrace(trace);
   // The open span appears and the export is still balanced.
   EXPECT_NE(json.find("left.open"), std::string::npos);
+  EXPECT_EQ(json.find("pre.install"), std::string::npos);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
   delete open;
-  delete leak;
+  delete before;
 }
 
 TEST(TraceTest, ParallelForShardsCarryFlowEvents) {
-  StartTracing();
+  RequestTrace trace(1, kTestCapacity);
   std::atomic<int64_t> sum{0};
-  // min_chunk 1 and an explicit 2-thread budget: even a single-core host's
-  // one-worker pool receives a shard, so a flow arrow must exist.
-  ParallelFor(
-      8, [&sum](int64_t begin, int64_t end) { sum.fetch_add(end - begin); },
-      /*min_chunk=*/1, /*max_threads=*/2);
-  StopTracing();
+  {
+    const TraceRequestScope scope(&trace);
+    // min_chunk 1 and an explicit 2-thread budget: even a single-core
+    // host's one-worker pool receives a shard, so a flow arrow must exist.
+    ParallelFor(
+        8, [&sum](int64_t begin, int64_t end) { sum.fetch_add(end - begin); },
+        /*min_chunk=*/1, /*max_threads=*/2);
+  }
   EXPECT_EQ(sum.load(), 8);
 
   std::vector<uint64_t> flow_out_ids;
   std::vector<uint64_t> flow_in_ids;
   bool saw_shard_span = false;
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
+  const auto threads = TraceEventsByThread(trace);
+  EXPECT_GE(threads.size(), 2u);  // the caller and at least one worker
+  for (const auto& [tid, events] : threads) {
+    for (const TraceEvent& e : events) {
+      EXPECT_EQ(e.tid, tid);
       if (e.phase == TraceEvent::Phase::kFlowOut) {
         flow_out_ids.push_back(e.flow_id);
       } else if (e.phase == TraceEvent::Phase::kFlowIn) {
@@ -186,48 +191,48 @@ TEST(TraceTest, ParallelForShardsCarryFlowEvents) {
               flow_out_ids.end());
   }
   // And the Chrome export renders them as s/f events sharing ids.
-  const std::string json = ExportChromeTrace();
+  const std::string json = ExportChromeTrace(trace);
   EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\": \"e\""), std::string::npos);
 }
 
 TEST(TraceTest, OverflowDropsEventsButStaysBalanced) {
-  StartTracing();
-  // 2 events per span against a 64Ki-event buffer: guaranteed overflow.
-  for (int i = 0; i < 40000; ++i) {
-    TRACE_SPAN("spam");
+  // Nested spans against a small collector: the cut lands inside open
+  // spans, which the exporter must close.
+  RequestTrace trace(1, /*capacity=*/101);
+  {
+    const TraceRequestScope scope(&trace);
+    for (int i = 0; i < 1000; ++i) {
+      TRACE_SPAN("spam.outer");
+      TRACE_SPAN("spam.inner");
+    }
   }
-  StopTracing();
-  EXPECT_GT(TraceDroppedEvents(), 0);
-  const std::string json = ExportChromeTrace();
+  EXPECT_EQ(trace.size(), 101u);
+  EXPECT_EQ(trace.dropped(), 4000 - 101);
+  const std::string json = ExportChromeTrace(trace);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
-  const std::string table = ExportTraceAggregateTable();
+  const std::string table = ExportTraceAggregateTable(trace);
   EXPECT_NE(table.find("dropped"), std::string::npos);
 }
 
 TEST(TraceTest, FlowHelpersNoOpWhenDisabledOrZero) {
-  StartTracing();
-  StopTracing();  // buffers reset and tracing off
+  // No collector installed: nothing to record into, and nothing breaks.
   TraceFlowOut(NewTraceFlowId());
   TraceFlowIn(7);
-  StartTracing();
-  TraceFlowOut(0);  // id 0 = "tracing was off at id-mint time": no event
-  TraceFlowIn(0);
-  StopTracing();
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
-      EXPECT_NE(e.phase, TraceEvent::Phase::kFlowOut);
-      EXPECT_NE(e.phase, TraceEvent::Phase::kFlowIn);
-    }
+  RequestTrace trace(1, kTestCapacity);
+  {
+    const TraceRequestScope scope(&trace);
+    TraceFlowOut(0);  // id 0 = "no collector at id-mint time": no event
+    TraceFlowIn(0);
   }
+  EXPECT_EQ(trace.size(), 0u);
 }
 
 TEST(RequestTraceTest, CollectsSpansWhileGlobalTracingIsOff) {
-  StopTracing();
-  ASSERT_FALSE(TraceEnabled());
-  RequestTrace trace(/*request_id=*/42);
+  // The collector is the only recorder: installing it is all it takes.
+  RequestTrace trace(/*request_id=*/42, kTestCapacity);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("request.outer");
@@ -245,17 +250,11 @@ TEST(RequestTraceTest, CollectsSpansWhileGlobalTracingIsOff) {
   EXPECT_STREQ(trace.event(3).name, "request.outer");
   EXPECT_EQ(trace.event(3).phase, TraceEvent::Phase::kEnd);
   EXPECT_EQ(trace.dropped(), 0);
-  // The global rings stayed empty: nothing was enabled.
-  for (const TraceThreadEvents& t : SnapshotTraceEvents()) {
-    for (const TraceEvent& e : t.events) {
-      EXPECT_STRNE(e.name, "request.outer");
-    }
-  }
 }
 
 TEST(RequestTraceTest, ScopesNestAndRestore) {
-  RequestTrace outer_trace(1);
-  RequestTrace inner_trace(2);
+  RequestTrace outer_trace(1, kTestCapacity);
+  RequestTrace inner_trace(2, kTestCapacity);
   EXPECT_EQ(CurrentRequestTrace(), nullptr);
   {
     const TraceRequestScope outer(&outer_trace);
@@ -273,20 +272,18 @@ TEST(RequestTraceTest, ScopesNestAndRestore) {
 }
 
 TEST(RequestTraceTest, OverflowDropsAndCounts) {
-  RequestTrace trace(3);
+  RequestTrace trace(3, /*capacity=*/512);
   const TraceRequestScope scope(&trace);
-  const int spans = static_cast<int>(RequestTrace::kCapacity);  // 2x events
+  const int spans = static_cast<int>(trace.capacity());  // 2x events
   for (int i = 0; i < spans; ++i) {
     TRACE_SPAN("request.spam");
   }
-  EXPECT_EQ(trace.size(), RequestTrace::kCapacity);
-  EXPECT_EQ(trace.dropped(),
-            static_cast<int64_t>(RequestTrace::kCapacity));
+  EXPECT_EQ(trace.size(), trace.capacity());
+  EXPECT_EQ(trace.dropped(), static_cast<int64_t>(trace.capacity()));
 }
 
 TEST(RequestTraceTest, ParallelForShardsInheritTheRequestScope) {
-  StopTracing();
-  RequestTrace trace(7);
+  RequestTrace trace(7, kTestCapacity);
   {
     const TraceRequestScope scope(&trace);
     TRACE_SPAN("request.parallel");
@@ -302,7 +299,7 @@ TEST(RequestTraceTest, ParallelForShardsInheritTheRequestScope) {
   std::vector<uint64_t> flow_out_ids;
   std::vector<uint64_t> flow_in_ids;
   for (size_t i = 0; i < trace.size(); ++i) {
-    const RequestTrace::Event& e = trace.event(i);
+    const TraceEvent& e = trace.event(i);
     if (e.phase == TraceEvent::Phase::kFlowOut) {
       flow_out_ids.push_back(e.flow_id);
     } else if (e.phase == TraceEvent::Phase::kFlowIn) {
@@ -323,7 +320,7 @@ TEST(RequestTraceTest, ParallelForShardsInheritTheRequestScope) {
 TEST(RequestTraceTest, SpanRecordsToInstallTimeCollector) {
   // A span records to the collector current at its *construction*: a scope
   // that ends while the span is open must not lose the End event.
-  RequestTrace trace(9);
+  RequestTrace trace(9, kTestCapacity);
   auto scope = std::make_unique<TraceRequestScope>(&trace);
   auto span = std::make_unique<TraceSpan>("straddling.span");
   scope.reset();  // uninstall while the span is open
@@ -333,12 +330,11 @@ TEST(RequestTraceTest, SpanRecordsToInstallTimeCollector) {
 }
 
 TEST(TraceTest, DisabledSpanOverheadIsNanoseconds) {
-  StopTracing();
-  ASSERT_FALSE(TraceEnabled());
+  ASSERT_EQ(CurrentRequestTrace(), nullptr);
   constexpr int kIters = 2'000'000;
-  // Best of three reps: the bound guards the order of magnitude (one relaxed
-  // load + branch ≈ 1-2 ns), not a precise figure; the minimum shields the
-  // guard from scheduler noise on loaded single-core CI hosts.
+  // Best of three reps: the bound guards the order of magnitude (one
+  // thread-local load + branch ≈ 1-2 ns), not a precise figure; the minimum
+  // shields the guard from scheduler noise on loaded single-core CI hosts.
   double best_ns = 1e9;
   for (int rep = 0; rep < 3; ++rep) {
     const Stopwatch sw;

@@ -62,7 +62,6 @@
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/timer.h"
-#include "util/top_k.h"
 #include "util/trace.h"
 #include "util/flags.h"
 #include "util/string_util.h"
@@ -156,32 +155,35 @@ void DefineTraceFlags(FlagSet* flags) {
                       "format on exit");
 }
 
-// Scoped tracing for one CLI query: StartTracing() on construction when the
-// user asked for a trace, and on destruction — every exit path, including
-// deadline/cancel failures, where a timeline is most useful — StopTracing(),
-// write the Chrome JSON, and print the aggregate table. Write failures warn
-// on stderr without changing the exit code: the query outcome already
-// happened and stays authoritative.
+// Scoped tracing for one CLI query: when the user asked for a trace, a
+// collector is installed on this thread for the object's lifetime (the
+// engine's ParallelFor shards inherit it). On destruction — every exit path,
+// including deadline/cancel failures, where a timeline is most useful — the
+// collector is uninstalled, the Chrome JSON written and the aggregate table
+// printed. Write failures warn on stderr without changing the exit code:
+// the query outcome already happened and stays authoritative.
 class ScopedCliTrace {
  public:
   ScopedCliTrace(std::string trace_out, bool summary)
       : trace_out_(std::move(trace_out)), summary_(summary) {
-    if (enabled()) StartTracing();
+    if (!trace_out_.empty() || summary_) {
+      trace_.emplace(/*request_id=*/0, kOfflineTraceCapacity);
+      scope_.emplace(&*trace_);
+    }
   }
   ~ScopedCliTrace() {
-    if (!enabled()) return;
-    StopTracing();
+    if (!trace_.has_value()) return;
+    scope_.reset();
     if (!trace_out_.empty()) {
       std::ofstream out(trace_out_);
-      if (out) out << ExportChromeTrace();
+      if (out) out << ExportChromeTrace(*trace_);
       if (!out) {
         std::fprintf(stderr, "warning: cannot write trace to %s\n",
                      trace_out_.c_str());
       }
     }
-    if (summary_) std::printf("%s", ExportTraceAggregateTable().c_str());
+    if (summary_) std::printf("%s", ExportTraceAggregateTable(*trace_).c_str());
   }
-  bool enabled() const { return !trace_out_.empty() || summary_; }
 
   ScopedCliTrace(const ScopedCliTrace&) = delete;
   ScopedCliTrace& operator=(const ScopedCliTrace&) = delete;
@@ -189,6 +191,8 @@ class ScopedCliTrace {
  private:
   std::string trace_out_;
   bool summary_;
+  std::optional<RequestTrace> trace_;
+  std::optional<TraceRequestScope> scope_;
 };
 
 // Dumps the process-wide registry (Prometheus text exposition format) to
@@ -252,7 +256,7 @@ int RunTopK(int argc, char** argv) {
   flags.DefineString("graph", "", "edge-list file");
   flags.DefineBool("undirected", false, "treat edges as undirected");
   flags.DefineInt("source", 0, "source node id (original file id)");
-  flags.DefineInt("k", 10, "result count");
+  flags.DefineIntInRange("k", 10, 1, 1000000, "result count");
   flags.DefineIntInRange("timeout_ms", 0, 0, 86400000,
                          "query deadline in ms (0 = unbounded; crashsim only)");
   flags.DefineBool("stats", false,
@@ -335,14 +339,12 @@ int RunTopK(int argc, char** argv) {
     const double elapsed = query_timer.ElapsedSeconds();
     RecordCliQueryMillis(elapsed * 1e3);
     if (result.scores.empty()) return FailStatus(result.status);
-    TopK<NodeId> selector(static_cast<size_t>(flags.GetInt("k")));
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (v != source) selector.Offer(result.scores[static_cast<size_t>(v)], v);
-    }
     std::printf("top-%lld nodes by s(%lld, v):\n",
                 static_cast<long long>(flags.GetInt("k")),
                 static_cast<long long>(original_source));
-    for (const auto& [score, v] : selector.Sorted()) {
+    for (const auto& [score, v] :
+         TopKOfScores(result.scores, source,
+                      static_cast<int>(flags.GetInt("k")))) {
       std::printf("  %lld  %.5f\n",
                   static_cast<long long>(
                       loaded.original_ids[static_cast<size_t>(v)]),
@@ -372,11 +374,8 @@ int RunTopK(int argc, char** argv) {
   if (flags.GetString("algo") == "exact") {
     const SimRankMatrix exact =
         PowerMethodAllPairs(g, flags.GetDouble("c"), 55);
-    TopK<NodeId> selector(static_cast<size_t>(flags.GetInt("k")));
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (v != source) selector.Offer(exact.At(source, v), v);
-    }
-    top = selector.Sorted();
+    top = TopKOfScores(exact.Row(source), source,
+                       static_cast<int>(flags.GetInt("k")));
   } else {
     std::unique_ptr<SimRankAlgorithm> algo = MakeAlgorithm(flags);
     if (!algo) {

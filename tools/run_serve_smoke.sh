@@ -22,7 +22,10 @@
 #      --tracez_sample_every 1 so every request is logged and sampled);
 #   7. require 404 on unknown debug paths and 405 on non-GET methods;
 #   8. SIGTERM the server mid-replay and require a clean drain ("clean
-#      shutdown" banner, exit code 0, replay tolerating the cut).
+#      shutdown" banner, exit code 0, replay tolerating the cut);
+#   9. restart it with default tracing flags, open 64 short-lived
+#      connections, and require its RSS (VmRSS) to grow by less than 32 MiB:
+#      nothing may be kept per connection thread.
 #
 #   tools/run_serve_smoke.sh [--build-dir DIR]
 set -euo pipefail
@@ -219,5 +222,41 @@ grep -q "TRANSPORT_TOLERATED" "$WORK/drain_replay.txt" || {
   echo "FAIL: the replay finished before the SIGTERM: nothing was drained" >&2
   cat "$WORK/drain_replay.txt" >&2; exit 1; }
 echo "   drained cleanly"
+
+echo "== connection churn: 64 short-lived connections, bounded RSS"
+# Default flags, so /tracez is on and every request builds its collector.
+# Each replay client is one connection thread that serves one request.
+"$SERVE" --graph "$WORK/tiny.el" --undirected --trials 2000 --seed 42 \
+  --port_file "$WORK/churn_ports.txt" > "$WORK/churn_serve.log" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 1 50); do
+  [[ -s "$WORK/churn_ports.txt" ]] && break
+  kill -0 "$SERVER_PID" 2>/dev/null || {
+    cat "$WORK/churn_serve.log" >&2; exit 1; }
+  sleep 0.1
+done
+[[ -s "$WORK/churn_ports.txt" ]] || { echo "server never bound" >&2; exit 1; }
+PORT="$(awk '{print $1}' "$WORK/churn_ports.txt")"
+rss_kb() { awk '/^VmRSS:/ {print $2}' "/proc/${SERVER_PID}/status"; }
+# Warm-up: the first answer builds the tree and fills the answer cache.
+"$CLI" replay --port "$PORT" --clients 1 --requests 1 --sources "3" \
+  > /dev/null
+RSS_BEFORE_KB="$(rss_kb)"
+for _ in 1 2 3 4; do
+  "$CLI" replay --port "$PORT" --clients 16 --requests 1 --sources "3" \
+    > "$WORK/churn_replay.txt"
+  grep -q "OK 16" "$WORK/churn_replay.txt" || {
+    echo "FAIL: expected 16 OK responses" >&2
+    cat "$WORK/churn_replay.txt" >&2; exit 1; }
+done
+RSS_AFTER_KB="$(rss_kb)"
+GROWTH_KB=$((RSS_AFTER_KB - RSS_BEFORE_KB))
+echo "   RSS ${RSS_BEFORE_KB} KiB -> ${RSS_AFTER_KB} KiB (+${GROWTH_KB} KiB)"
+[[ "$GROWTH_KB" -lt $((32 * 1024)) ]] || {
+  echo "FAIL: 64 connections grew RSS by ${GROWTH_KB} KiB (limit 32 MiB)" >&2
+  exit 1; }
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || true
+SERVER_PID=""
 
 echo "serve smoke: OK"
