@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,9 +58,14 @@ class Client {
 
   // One request/response round trip; returns the parsed response object.
   StatusOr<JsonValue> Call(const JsonValue& request) {
-    RETURN_IF_ERROR(WriteFrame(fd_, request.Write()));
-    ASSIGN_OR_RETURN(std::string payload, ReadFrame(fd_));
+    ASSIGN_OR_RETURN(std::string payload, CallRaw(request.Write()));
     return ParseJson(payload);
+  }
+
+  // The same round trip on raw frame payloads, as they cross the wire.
+  StatusOr<std::string> CallRaw(const std::string& payload) {
+    RETURN_IF_ERROR(WriteFrame(fd_, payload));
+    return ReadFrame(fd_);
   }
 
  private:
@@ -818,6 +824,173 @@ TEST(ServerTest, SlowQueryStatsShareTheRequestElapsedReading) {
     ++checked;
   }
   EXPECT_EQ(checked, 6);
+}
+
+// The top-level keys of a compact JSON object, in wire order.
+std::string TopLevelKeys(const std::string& json) {
+  std::string keys;
+  int depth = 0;
+  for (size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      size_t end = i + 1;
+      while (json[end] != '"') end += json[end] == '\\' ? 2 : 1;
+      if (depth == 1 && json[end + 1] == ':') {
+        keys += (keys.empty() ? "" : ",") + json.substr(i + 1, end - i - 1);
+      }
+      i = end;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    }
+  }
+  return keys;
+}
+
+// Replaces every timing value with '#': what is left of a response is a
+// pure function of the request and the seed.
+std::string MaskTimings(std::string json) {
+  for (const char* key : {"queue_wait_ms", "run_ms", "queue_ms", "cache_ms",
+                          "walk_ms", "serialize_ms"}) {
+    const std::string needle = std::string("\"") + key + "\":";
+    for (size_t pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos)) {
+      pos += needle.size();
+      json.replace(pos, json.find_first_of(",}", pos) - pos, "#");
+    }
+  }
+  return json;
+}
+
+// The wire format of every response shape, pinned: the ordered top-level
+// keys; the whole response (timings masked) wherever it carries no scores,
+// and its tail where it does; and the status and op of the request's
+// slow-query event.
+TEST(ServerTest, ResponseShapesAreStableOnTheWire) {
+  struct Shape {
+    std::string request;  // raw frame payload
+    std::string keys;
+    // The whole masked response, or for answers its masked tail.
+    std::string masked;
+    std::string event_status;
+    std::string event_op;
+  };
+  const std::string kAnswerTail =
+      "\"retries\":0,\"queue_wait_ms\":#,\"run_ms\":#,\"stages\":{"
+      "\"queue_ms\":#,\"cache_ms\":#,\"walk_ms\":#,\"serialize_ms\":#}}";
+  const std::vector<Shape> with_temporal = {
+      {R"j({"op":"ping","id":1})j", "id,status,op,request_id",
+       R"j({"id":1,"status":"OK","op":"ping","request_id":1})j", "OK", "ping"},
+      {"{nope", "status,message,request_id",
+       R"j({"status":"INVALID_ARGUMENT","message":"JSON parse error at byte 1: expected a string object key","request_id":2})j",
+       "INVALID_ARGUMENT", ""},
+      {R"j({"id":3,"op":"frobnicate"})j", "id,status,message,request_id",
+       R"j({"id":3,"status":"INVALID_ARGUMENT","message":"unknown op 'frobnicate' (expected ping | topk | temporal)","request_id":3})j",
+       "INVALID_ARGUMENT", "frobnicate"},
+      {R"j({"id":4,"op":"topk","source":503,"k":3})j",
+       "id,status,op,request_id,source,k,nodes,scores,trials_done,"
+       "trials_target,epsilon_achieved,degraded,trial_fraction,retries,"
+       "queue_wait_ms,run_ms,stages",
+       "\"degraded\":false,\"trial_fraction\":1," + kAnswerTail, "OK", "topk"},
+      {R"j({"id":5,"op":"topk","source":99999,"k":3})j",
+       "id,status,message,request_id",
+       R"j({"id":5,"status":"NOT_FOUND","message":"source id 99999 not present in the graph","request_id":5})j",
+       "NOT_FOUND", "topk"},
+      {R"j({"id":6,"op":"topk","source":503,"k":0})j",
+       "id,status,message,request_id",
+       R"j({"id":6,"status":"INVALID_ARGUMENT","message":"k must be in [1, 1000000], got 0","request_id":6})j",
+       "INVALID_ARGUMENT", "topk"},
+      {R"j({"id":7,"op":"topk","source":504,"k":3})j",
+       "id,status,message,admitted,request_id",
+       R"j({"id":7,"status":"RESOURCE_EXHAUSTED","message":"failpoint executor.admit fired (hit 0)","admitted":false,"request_id":7})j",
+       "RESOURCE_EXHAUSTED", "topk"},
+      {R"j({"id":8,"op":"temporal","source":503,"theta":0.02})j",
+       "id,status,op,request_id,source,kind,begin,end,nodes,"
+       "snapshots_processed,scores_computed,retries,queue_wait_ms,run_ms,"
+       "stages",
+       kAnswerTail, "OK", "temporal"},
+      {R"j({"id":9,"op":"temporal","source":503,"kind":"sideways"})j",
+       "id,status,message,request_id",
+       R"j({"id":9,"status":"INVALID_ARGUMENT","message":"unknown kind 'sideways' (threshold | increasing | decreasing)","request_id":9})j",
+       "INVALID_ARGUMENT", "temporal"},
+  };
+  const std::vector<Shape> without_temporal = {
+      {R"j({"id":10,"op":"temporal","source":1003})j",
+       "id,status,message,request_id",
+       R"j({"id":10,"status":"INVALID_ARGUMENT","message":"server was started without a temporal graph","request_id":1})j",
+       "INVALID_ARGUMENT", "temporal"},
+  };
+
+  for (const bool temporal_graph : {true, false}) {
+    SCOPED_TRACE(temporal_graph ? "with temporal graph" : "static only");
+    const test::TempPath temp("wire_format.jsonl");
+    EventLog::Options log_options;
+    log_options.path = temp.path();
+    EventLog event_log(log_options);
+    ASSERT_TRUE(event_log.ok());
+    ServerOptions options = TestServerOptions();
+    options.engine.mc.trials_override = 80;
+    options.event_log = &event_log;
+    options.slow_query_ms = 0;  // every request logs its event
+    std::optional<LoadedTemporalGraph> temporal;
+    LoadedGraph loaded = TestGraph();
+    if (temporal_graph) {
+      temporal = TestTemporalGraph();
+      loaded.graph = temporal->graph.Snapshot(0);
+      loaded.original_ids = temporal->original_ids;
+    }
+    const std::vector<Shape>& shapes =
+        temporal_graph ? with_temporal : without_temporal;
+    FailpointScope failpoints(5);
+    std::vector<int64_t> request_ids;
+    {
+      Server server(std::move(loaded), std::move(temporal), options);
+      ASSERT_TRUE(server.Start().ok());
+      Client client(server.port());
+      ASSERT_TRUE(client.connected());
+      for (const Shape& shape : shapes) {
+        if (shape.keys.find("admitted") != std::string::npos) {
+          FailpointSpec shed;
+          shed.code = StatusCode::kResourceExhausted;
+          shed.max_fires = 1;
+          ASSERT_TRUE(ConfigureFailpoint("executor.admit", shed).ok());
+        }
+        const StatusOr<std::string> raw = client.CallRaw(shape.request);
+        ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+        EXPECT_EQ(TopLevelKeys(*raw), shape.keys) << shape.request;
+        const std::string masked = MaskTimings(*raw);
+        if (shape.masked.front() == '{') {
+          EXPECT_EQ(masked, shape.masked) << shape.request;
+        } else {
+          EXPECT_NE(masked.find(shape.masked), std::string::npos)
+              << shape.request << " -> " << masked;
+        }
+        const StatusOr<JsonValue> parsed = ParseJson(*raw);
+        ASSERT_TRUE(parsed.ok());
+        request_ids.push_back(parsed->GetInt("request_id", 0));
+      }
+      server.Shutdown();
+    }
+    event_log.Flush();
+
+    std::ifstream in(temp.path());
+    std::string line;
+    size_t seen = 0;
+    while (std::getline(in, line)) {
+      StatusOr<JsonValue> event = ParseJson(line);
+      ASSERT_TRUE(event.ok()) << line;
+      if (event->GetString("event", "") != "slow_query") continue;
+      const auto it = std::find(request_ids.begin(), request_ids.end(),
+                                event->GetInt("request_id", 0));
+      ASSERT_NE(it, request_ids.end()) << line;
+      const Shape& shape = shapes[static_cast<size_t>(it - request_ids.begin())];
+      EXPECT_EQ(event->GetString("status", "?"), shape.event_status) << line;
+      EXPECT_EQ(event->GetString("op", "?"), shape.event_op) << line;
+      ++seen;
+    }
+    EXPECT_EQ(seen, shapes.size());
+  }
 }
 
 }  // namespace
