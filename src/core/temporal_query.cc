@@ -13,6 +13,14 @@ const char* ToString(TemporalQueryKind kind) {
   return "unknown";
 }
 
+StatusOr<TemporalQueryKind> ParseTemporalQueryKind(std::string_view name) {
+  if (name == "threshold") return TemporalQueryKind::kThreshold;
+  if (name == "increasing") return TemporalQueryKind::kTrendIncreasing;
+  if (name == "decreasing") return TemporalQueryKind::kTrendDecreasing;
+  return InvalidArgumentError("unknown kind '" + std::string(name) +
+                              "' (threshold | increasing | decreasing)");
+}
+
 bool TemporalStepSatisfied(const TemporalQuery& q, bool first, double prev,
                            double cur) {
   switch (q.kind) {

@@ -2,9 +2,11 @@
 #define CRASHSIM_CORE_TEMPORAL_QUERY_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/edge.h"
+#include "util/status.h"
 
 namespace crashsim {
 
@@ -16,6 +18,11 @@ enum class TemporalQueryKind {
 };
 
 const char* ToString(TemporalQueryKind kind);
+
+// Parses a kind as requests and the CLI spell it: threshold | increasing |
+// decreasing. kInvalidArgument otherwise, listing the spellings.
+[[nodiscard]] StatusOr<TemporalQueryKind> ParseTemporalQueryKind(
+    std::string_view name);
 
 // A temporal SimRank query (Definition 3): find every node v whose score
 // sequence against `source` satisfies the requirement at every snapshot of

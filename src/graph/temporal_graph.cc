@@ -19,6 +19,17 @@ std::vector<Edge> TemporalGraph::SnapshotEdges(int t) const {
   return edges;
 }
 
+int64_t TemporalGraph::num_edges(int t) const {
+  CRASHSIM_CHECK(t >= 0 && t < num_snapshots()) << "snapshot " << t;
+  int64_t edges = 0;
+  for (int i = 0; i <= t; ++i) {
+    const EdgeDelta& d = deltas_[static_cast<size_t>(i)];
+    edges += static_cast<int64_t>(d.added.size()) -
+             static_cast<int64_t>(d.removed.size());
+  }
+  return edges;
+}
+
 int64_t TemporalGraph::TotalEvents() const {
   int64_t total = 0;
   for (const EdgeDelta& d : deltas_) total += static_cast<int64_t>(d.Size());

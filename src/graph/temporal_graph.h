@@ -44,6 +44,10 @@ class TemporalGraph {
   // Sorted directed edge set of snapshot t.
   std::vector<Edge> SnapshotEdges(int t) const;
 
+  // Directed edge count of snapshot t, summed from the deltas in O(t)
+  // without materialising it.
+  int64_t num_edges(int t) const;
+
   // Total number of directed edge events (additions + removals) across all
   // deltas; proxies dataset churn in reports.
   int64_t TotalEvents() const;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -295,6 +296,15 @@ void JsonValue::Set(std::string key, JsonValue value) {
     }
   }
   members_.emplace_back(std::move(key), std::move(value));
+}
+
+int64_t JsonValue::as_int() const {
+  // 2^63 is exact as a double; a bare cast at or past it is undefined.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (std::isnan(number_)) return 0;
+  if (number_ >= kTwoTo63) return std::numeric_limits<int64_t>::max();
+  if (number_ <= -kTwoTo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(number_);
 }
 
 int64_t JsonValue::GetInt(std::string_view key, int64_t fallback) const {

@@ -52,7 +52,8 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
+  // Truncates toward zero, saturating outside the int64 range (NaN -> 0).
+  int64_t as_int() const;
   const std::string& as_string() const { return string_; }
   const std::vector<JsonValue>& items() const { return items_; }
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -21,13 +22,38 @@
 #include "serve/protocol.h"
 #include "simrank/topk.h"
 #include "util/event_log.h"
-#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
 namespace crashsim {
+
+// The one record of a request: the handlers and RunQuery fill it in
+// (status, executor verdicts, stage split, QueryStats), and the response
+// stages, the rolling windows, the slow-query log and /tracez all
+// project it.
+struct RequestRecord {
+  uint64_t request_id = 0;
+  std::string op;  // "" until dispatch resolves it
+  // Final status, set by Reject or Head.
+  StatusCode status = StatusCode::kOk;
+  bool admitted = true;
+  bool degraded = false;
+  int retries = 0;
+  double queue_ms = 0.0;      // executor admission-queue wait
+  double run_ms = 0.0;        // executor run time: cache + walk
+  double cache_ms = 0.0;      // answer lookup/wait + tree lookup/build
+  double walk_ms = 0.0;       // engine run minus cache time
+  double serialize_ms = 0.0;  // response assembly after the engine
+  Stopwatch serialize_timer;  // restarted when the executor returns
+  // The engine's work counters and their envelope; envelope.query stays
+  // "" unless the executor ran the query. Rendered as
+  // crashsim.query_stats.v1 only when the slow-query event is emitted.
+  QueryStatsEnvelope envelope;
+  QueryStats stats;
+};
+
 namespace {
 
 Counter& RequestsCounter() {
@@ -44,12 +70,12 @@ Counter& ConnectionsCounter() {
 }
 FixedHistogram& TopKLatencyHistogram() {
   static FixedHistogram& h = MetricsRegistry::Global().histogram(
-      "serve.topk_ms", ExponentialBuckets(1, 2.0, 14));
+      "serve.topk_us", LatencyBucketsMicros());
   return h;
 }
 FixedHistogram& TemporalLatencyHistogram() {
   static FixedHistogram& h = MetricsRegistry::Global().histogram(
-      "serve.temporal_ms", ExponentialBuckets(1, 2.0, 14));
+      "serve.temporal_us", LatencyBucketsMicros());
   return h;
 }
 
@@ -57,6 +83,24 @@ FixedHistogram& TemporalLatencyHistogram() {
 // and engine spans plus per-shard spans. Deep per-level walk detail
 // overflows by design and is reported as the trace's "dropped" count.
 constexpr size_t kRequestTraceCapacity = 512;
+
+// One day: the upper bound of a request's timeout_ms, and of the
+// --timeout_ms / --default_timeout_ms flags. Past ~2^63 ns the deadline
+// arithmetic would overflow.
+constexpr int64_t kMaxTimeoutMs = 86'400'000;
+
+// kInvalidArgument naming `name` unless lo <= value <= hi.
+Status CheckRange(const char* name, int64_t value, int64_t lo,
+                  int64_t hi = std::numeric_limits<int64_t>::max()) {
+  if (value >= lo && value <= hi) return OkStatus();
+  return InvalidArgumentError(
+      hi == std::numeric_limits<int64_t>::max()
+          ? StrFormat("%s must be >= %lld, got %lld", name,
+                      static_cast<long long>(lo), static_cast<long long>(value))
+          : StrFormat("%s must be in [%lld, %lld], got %lld", name,
+                      static_cast<long long>(lo), static_cast<long long>(hi),
+                      static_cast<long long>(value)));
+}
 
 // Binds a listening TCP socket on host:port (port 0 = ephemeral). On
 // success stores the fd and the actually bound port.
@@ -67,6 +111,10 @@ Status BindListener(const std::string& host, int port, int* out_fd,
     return UnavailableError(
         StrFormat("socket failed: %s", std::strerror(errno)));
   }
+  const auto fail = [fd](Status s) {
+    close(fd);
+    return s;
+  };
   const int one = 1;
   (void)setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr;
@@ -74,28 +122,21 @@ Status BindListener(const std::string& host, int port, int* out_fd,
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    return InvalidArgumentError("invalid listen address " + host);
+    return fail(InvalidArgumentError("invalid listen address " + host));
   }
   if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status s = UnavailableError(StrFormat(
-        "bind %s:%d failed: %s", host.c_str(), port, std::strerror(errno)));
-    close(fd);
-    return s;
+    return fail(UnavailableError(StrFormat(
+        "bind %s:%d failed: %s", host.c_str(), port, std::strerror(errno))));
   }
   if (listen(fd, 128) != 0) {
-    const Status s = UnavailableError(
-        StrFormat("listen failed: %s", std::strerror(errno)));
-    close(fd);
-    return s;
+    return fail(UnavailableError(
+        StrFormat("listen failed: %s", std::strerror(errno))));
   }
   sockaddr_in bound;
   socklen_t bound_len = sizeof(bound);
   if (getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) != 0) {
-    const Status s = UnavailableError(
-        StrFormat("getsockname failed: %s", std::strerror(errno)));
-    close(fd);
-    return s;
+    return fail(UnavailableError(
+        StrFormat("getsockname failed: %s", std::strerror(errno))));
   }
   *out_fd = fd;
   *out_port = static_cast<int>(ntohs(bound.sin_port));
@@ -117,7 +158,9 @@ bool WaitAcceptable(int fd, const std::atomic<bool>& stop) {
   return false;
 }
 
-JsonValue ErrorResponse(const Status& status, const JsonValue* request) {
+// The status part every response opens with: the request's id when it has
+// one, the status, and the message when non-OK.
+JsonValue StatusHead(const JsonValue* request, const Status& status) {
   JsonValue response = JsonValue::Object();
   if (request != nullptr) {
     if (const JsonValue* id = request->Find("id"); id != nullptr) {
@@ -125,28 +168,70 @@ JsonValue ErrorResponse(const Status& status, const JsonValue* request) {
     }
   }
   response.Set("status", JsonValue(std::string(StatusCodeName(status.code()))));
-  response.Set("message", JsonValue(status.message()));
+  if (!status.ok()) response.Set("message", JsonValue(status.message()));
   return response;
 }
 
-// Error responses carry the request id too ("every response carries a
-// request_id" is the correlation contract the smoke lane checks).
-std::string FinishError(JsonValue response, uint64_t request_id) {
-  response.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
+// Opens an answer or a ping: id, status, message when non-OK, op and
+// request_id. Stores the status on the record.
+JsonValue Head(const JsonValue& request, const Status& status,
+               RequestRecord* record) {
+  record->status = status.code();
+  JsonValue response = StatusHead(&request, status);
+  response.Set("op", JsonValue(record->op));
+  response.Set("request_id",
+               JsonValue(static_cast<int64_t>(record->request_id)));
+  return response;
+}
+
+// Closes an answer: retries, the executor times, and the stage split.
+std::string Finish(JsonValue response, RequestRecord* record) {
+  response.Set("retries", JsonValue(static_cast<int64_t>(record->retries)));
+  response.Set("queue_wait_ms", JsonValue(record->queue_ms));
+  response.Set("run_ms", JsonValue(record->run_ms));
+  record->serialize_ms = record->serialize_timer.ElapsedMillis();
+  JsonValue stages = JsonValue::Object();
+  stages.Set("queue_ms", JsonValue(record->queue_ms));
+  stages.Set("cache_ms", JsonValue(record->cache_ms));
+  stages.Set("walk_ms", JsonValue(record->walk_ms));
+  stages.Set("serialize_ms", JsonValue(record->serialize_ms));
+  response.Set("stages", std::move(stages));
   return response.Write();
 }
 
-// Pulls the "status" field back out of a serialized response. Our own
-// compact serializer always renders it as "status":"<name>", so a find is
-// exact — this keeps status accounting uniform across every handler path.
-std::string ExtractResponseStatus(const std::string& response) {
-  static constexpr char kKey[] = "\"status\":\"";
-  const size_t pos = response.find(kKey);
-  if (pos == std::string::npos) return "";
-  const size_t begin = pos + sizeof(kKey) - 1;
-  const size_t end = response.find('"', begin);
-  if (end == std::string::npos) return "";
-  return response.substr(begin, end - begin);
+// The whole response of a request that ends without an answer; stores the
+// status on the record. It carries the request id too (the correlation
+// contract the smoke lane checks), and, for a query the executor saw,
+// whether it was admitted, for the client's retry policy.
+std::string Reject(const Status& status, const JsonValue* request,
+                   RequestRecord* record,
+                   std::optional<bool> admitted = std::nullopt) {
+  record->status = status.code();
+  JsonValue response = StatusHead(request, status);
+  if (admitted.has_value()) response.Set("admitted", JsonValue(*admitted));
+  response.Set("request_id",
+               JsonValue(static_cast<int64_t>(record->request_id)));
+  return response.Write();
+}
+
+// Resolves a request's original source id through a graph's id map.
+StatusOr<NodeId> LookupSource(const std::unordered_map<int64_t, NodeId>& ids,
+                              int64_t original, const char* graph) {
+  const auto it = ids.find(original);
+  if (it == ids.end()) {
+    return NotFoundError(StrFormat("source id %lld not present in the %s",
+                                   static_cast<long long>(original), graph));
+  }
+  return it->second;
+}
+
+std::unordered_map<int64_t, NodeId> IdMap(
+    const std::vector<int64_t>& original_ids) {
+  std::unordered_map<int64_t, NodeId> ids;
+  for (size_t i = 0; i < original_ids.size(); ++i) {
+    ids.emplace(original_ids[i], static_cast<NodeId>(i));
+  }
+  return ids;
 }
 
 // Share of cache lookups served by a resident entry (0 before any lookup).
@@ -160,45 +245,16 @@ double HitRate(int64_t hits, int64_t misses, int64_t coalesced) {
 }  // namespace
 
 Status ServerOptions::Validate() const {
-  if (port < 0 || port > 65535) {
-    return InvalidArgumentError(StrFormat("port must be in [0, 65535], got %d",
-                                          port));
-  }
-  if (metrics_port < -1 || metrics_port > 65535) {
-    return InvalidArgumentError(StrFormat(
-        "metrics_port must be in [-1, 65535], got %d", metrics_port));
-  }
-  if (max_connections < 1) {
-    return InvalidArgumentError(StrFormat(
-        "max_connections must be >= 1, got %d", max_connections));
-  }
-  if (max_k < 1) {
-    return InvalidArgumentError(
-        StrFormat("max_k must be >= 1, got %lld",
-                  static_cast<long long>(max_k)));
-  }
-  if (default_timeout_ms < 0) {
-    return InvalidArgumentError(
-        StrFormat("default_timeout_ms must be >= 0, got %lld",
-                  static_cast<long long>(default_timeout_ms)));
-  }
-  if (slow_query_ms < -1) {
-    return InvalidArgumentError(
-        StrFormat("slow_query_ms must be >= -1, got %lld",
-                  static_cast<long long>(slow_query_ms)));
-  }
-  if (tracez_capacity < 0) {
-    return InvalidArgumentError(StrFormat(
-        "tracez_capacity must be >= 0, got %d", tracez_capacity));
-  }
-  if (tracez_sample_every < 0) {
-    return InvalidArgumentError(StrFormat(
-        "tracez_sample_every must be >= 0, got %d", tracez_sample_every));
-  }
-  if (slo_ms < 1) {
-    return InvalidArgumentError(StrFormat(
-        "slo_ms must be >= 1, got %lld", static_cast<long long>(slo_ms)));
-  }
+  RETURN_IF_ERROR(CheckRange("port", port, 0, 65535));
+  RETURN_IF_ERROR(CheckRange("metrics_port", metrics_port, -1, 65535));
+  RETURN_IF_ERROR(CheckRange("max_connections", max_connections, 1));
+  RETURN_IF_ERROR(CheckRange("max_k", max_k, 1));
+  RETURN_IF_ERROR(CheckRange("default_timeout_ms", default_timeout_ms, 0,
+                             kMaxTimeoutMs));
+  RETURN_IF_ERROR(CheckRange("slow_query_ms", slow_query_ms, -1));
+  RETURN_IF_ERROR(CheckRange("tracez_capacity", tracez_capacity, 0));
+  RETURN_IF_ERROR(CheckRange("tracez_sample_every", tracez_sample_every, 0));
+  RETURN_IF_ERROR(CheckRange("slo_ms", slo_ms, 1, kMaxTimeoutMs));
   RETURN_IF_ERROR(executor.Validate().WithContext("executor options"));
   RETURN_IF_ERROR(engine.Validate().WithContext("engine options"));
   TreeCacheOptions aligned = cache;
@@ -212,10 +268,9 @@ Server::Server(LoadedGraph graph, std::optional<LoadedTemporalGraph> temporal,
                const ServerOptions& options)
     : graph_(std::move(graph)),
       temporal_(std::move(temporal)),
-      options_(options) {
-  for (size_t i = 0; i < graph_.original_ids.size(); ++i) {
-    id_map_.emplace(graph_.original_ids[i], static_cast<NodeId>(i));
-  }
+      options_(options),
+      id_map_(IdMap(graph_.original_ids)) {
+  if (temporal_.has_value()) temporal_id_map_ = IdMap(temporal_->original_ids);
   engine_ = std::make_unique<CrashSim>(options_.engine);
   engine_->Bind(&graph_.graph);
   TreeCacheOptions cache_options = options_.cache;
@@ -228,14 +283,17 @@ Server::Server(LoadedGraph graph, std::optional<LoadedTemporalGraph> temporal,
         static_cast<size_t>(options_.tracez_capacity));
   }
   constexpr int kWindowSeconds = 60;
-  topk_window_ = std::make_unique<SlidingHistogram>(
-      ExponentialBuckets(1, 2.0, 14), kWindowSeconds);
-  temporal_window_ = std::make_unique<SlidingHistogram>(
-      ExponentialBuckets(1, 2.0, 14), kWindowSeconds);
-  // Two buckets — (..slo] and (slo..] — so the window burn rate is exact
-  // at the threshold rather than rounded to a percentile bucket.
+  topk_window_ = std::make_unique<SlidingHistogram>(LatencyBucketsMicros(),
+                                                    kWindowSeconds);
+  temporal_window_ = std::make_unique<SlidingHistogram>(LatencyBucketsMicros(),
+                                                        kWindowSeconds);
+  // Two buckets — (..slo] and (slo..] in microseconds — so the window burn
+  // rate is exact at the threshold rather than rounded to a percentile
+  // bucket. Start() rejects an slo_ms outside the clamp.
   slo_window_ = std::make_unique<SlidingHistogram>(
-      std::vector<int64_t>{std::max<int64_t>(options_.slo_ms, 1)},
+      std::vector<int64_t>{std::clamp<int64_t>(options_.slo_ms, 1,
+                                               kMaxTimeoutMs) *
+                           1000},
       kWindowSeconds);
 }
 
@@ -257,10 +315,6 @@ Status Server::Start() {
     metrics_thread_ = std::thread([this] { MetricsLoop(); });
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  CRASHSIM_LOG(Info) << "crashsim_serve listening on " << options_.host << ":"
-                     << port_ << " (metrics port " << metrics_port_ << ", "
-                     << graph_.graph.num_nodes() << " nodes, "
-                     << graph_.graph.num_edges() << " edges)";
   return OkStatus();
 }
 
@@ -336,7 +390,7 @@ void Server::ServeConnection(int fd) {
       // best-effort report it, then drop the connection either way.
       if (payload.status().code() != StatusCode::kUnavailable &&
           payload.status().code() != StatusCode::kCancelled) {
-        (void)WriteFrame(fd, ErrorResponse(payload.status(), nullptr).Write());
+        (void)WriteFrame(fd, StatusHead(nullptr, payload.status()).Write());
       }
       break;
     }
@@ -375,36 +429,23 @@ std::string Server::HandleRequest(const std::string& payload) {
     RequestsCounter().Add(1);
     StatusOr<JsonValue> parsed = ParseJson(payload);
     if (!parsed.ok()) {
-      response = FinishError(ErrorResponse(parsed.status(), nullptr),
-                             request_id);
+      response = Reject(parsed.status(), nullptr, &record);
     } else if (!parsed->is_object()) {
-      response = FinishError(
-          ErrorResponse(InvalidArgumentError("request must be a JSON object"),
-                        nullptr),
-          request_id);
+      response = Reject(InvalidArgumentError("request must be a JSON object"),
+                        nullptr, &record);
     } else {
-      const std::string op = parsed->GetString("op", "");
-      record.op = op;
-      if (op == "ping") {
-        JsonValue pong = JsonValue::Object();
-        if (const JsonValue* id = parsed->Find("id"); id != nullptr) {
-          pong.Set("id", *id);
-        }
-        pong.Set("status", JsonValue(std::string("OK")));
-        pong.Set("op", JsonValue(std::string("ping")));
-        pong.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
-        response = pong.Write();
-      } else if (op == "topk") {
-        response = HandleTopK(*parsed, request_id, &record);
-      } else if (op == "temporal") {
-        response = HandleTemporal(*parsed, request_id, &record);
+      record.op = parsed->GetString("op", "");
+      if (record.op == "ping") {
+        response = Head(*parsed, OkStatus(), &record).Write();
+      } else if (record.op == "topk") {
+        response = HandleTopK(*parsed, &record);
+      } else if (record.op == "temporal") {
+        response = HandleTemporal(*parsed, &record);
       } else {
-        response = FinishError(
-            ErrorResponse(InvalidArgumentError(
-                              "unknown op '" + op +
+        response = Reject(InvalidArgumentError(
+                              "unknown op '" + record.op +
                               "' (expected ping | topk | temporal)"),
-                          &*parsed),
-            request_id);
+                          &*parsed, &record);
       }
     }
   }  // serve.request span closed: the trace is complete for reassembly
@@ -412,28 +453,27 @@ std::string Server::HandleRequest(const std::string& payload) {
   // Epilogue: rolling windows, error accounting, slow-query log, /tracez.
   // The one elapsed reading every report of this request projects.
   const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  std::string status = ExtractResponseStatus(response);
-  if (status.empty()) status = "UNKNOWN";
-  if (status != "OK") {
+  const std::string status = StatusCodeName(record.status);
+  if (record.status != StatusCode::kOk) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     ErrorsCounter().Add(1);
   }
-  const bool is_query = record.op == "topk" || record.op == "temporal";
-  if (is_query) {
-    const auto latency = static_cast<int64_t>(elapsed_ms);
+  if (record.op == "topk" || record.op == "temporal") {
+    // Microseconds: a cached topk answers in a fraction of a millisecond.
+    const auto latency_us = static_cast<int64_t>(elapsed_ms * 1e3);
     const bool topk = record.op == "topk";
     (topk ? TopKLatencyHistogram() : TemporalLatencyHistogram())
-        .Record(latency);
-    (topk ? topk_window_ : temporal_window_)->Record(latency);
-    slo_window_->Record(latency);
-    if (latency > options_.slo_ms) {
+        .Record(latency_us);
+    (topk ? topk_window_ : temporal_window_)->Record(latency_us);
+    slo_window_->Record(latency_us);
+    if (latency_us > options_.slo_ms * 1000) {
       slo_breaches_total_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   const bool slow =
       options_.slow_query_ms >= 0 &&
       (elapsed_ms >= static_cast<double>(options_.slow_query_ms) ||
-       status != "OK");
+       record.status != StatusCode::kOk);
   if (slow && options_.event_log != nullptr) {
     EventBuilder event("slow_query");
     event.UInt("request_id", request_id)
@@ -471,40 +511,12 @@ std::string Server::HandleRequest(const std::string& payload) {
   return response;
 }
 
-std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
-                               RequestRecord* record) {
-  TRACE_SPAN("serve.topk");
-  const int64_t original_source = request.GetInt("source", -1);
-  const auto it = id_map_.find(original_source);
-  if (it == id_map_.end()) {
-    return FinishError(
-        ErrorResponse(
-            NotFoundError(StrFormat("source id %lld not present in the "
-                                    "graph",
-                                    static_cast<long long>(original_source))),
-            &request),
-        request_id);
-  }
-  const NodeId source = it->second;
-  const int64_t k = request.GetInt("k", 10);
-  if (k < 1 || k > options_.max_k) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError(StrFormat(
-                          "k must be in [1, %lld], got %lld",
-                          static_cast<long long>(options_.max_k),
-                          static_cast<long long>(k))),
-                      &request),
-        request_id);
-  }
+StatusOr<QueryOutcome> Server::RunQuery(
+    const JsonValue& request, const char* algo, int64_t n, int64_t m,
+    std::function<PartialResult(QueryContext*)> run, RequestRecord* record) {
   const int64_t timeout_ms =
       request.GetInt("timeout_ms", options_.default_timeout_ms);
-  if (timeout_ms < 0) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError("timeout_ms must be >= 0"),
-                      &request),
-        request_id);
-  }
-
+  RETURN_IF_ERROR(CheckRange("timeout_ms", timeout_ms, 0, kMaxTimeoutMs));
   // QueryContext is neither copyable nor movable; emplace the right ctor.
   std::optional<QueryContext> ctx;
   if (timeout_ms > 0) {
@@ -513,112 +525,93 @@ std::string Server::HandleTopK(const JsonValue& request, uint64_t request_id,
     ctx.emplace();
   }
   ctx->set_stats(&record->stats);
-  ctx->set_request_id(request_id);
+  ctx->set_request_id(record->request_id);
   QueryRequest query;
   query.ctx = &*ctx;
-  query.run = [this, source](QueryContext* run_ctx) -> PartialResult {
-    // The answer-cache lookup runs inside the admitted task, so every
-    // request still passes admission and shows in the executor ledger. Any
-    // k is a projection of the one cached score vector.
-    return CachedSingleSource(cache_.get(), engine_.get(), source, run_ctx);
-  };
-  const QueryOutcome outcome = executor_->Execute(query);
+  query.run = std::move(run);
+  QueryOutcome outcome = executor_->Execute(query);
 
   // Per-stage split for the response, the slow-query log, and replay
   // --latency_out: engine run time divides into cache (answer lookup or
-  // coalesced wait, tree build, hit or wait) and walk (everything else — the
+  // coalesced wait, tree build, hit or wait — 0 for CrashSim-T, whose
+  // per-request trees bypass the TreeCache) and walk (everything else — the
   // MC trial loop, ~0 on an answer hit); serialize covers response assembly
-  // below.
+  // from here on.
   record->admitted = outcome.admitted;
   record->degraded = outcome.degraded;
   record->retries = outcome.retries;
   record->queue_ms = outcome.queue_wait_seconds * 1e3;
+  record->run_ms = outcome.run_seconds * 1e3;
   record->cache_ms = record->stats.cache_wait_seconds * 1e3;
-  record->walk_ms =
-      std::max(0.0, outcome.run_seconds * 1e3 - record->cache_ms);
-  record->envelope.query = "topk";
-  record->envelope.algo = "crashsim";
-  record->envelope.n = graph_.graph.num_nodes();
-  record->envelope.m = graph_.graph.num_edges();
+  record->walk_ms = std::max(0.0, record->run_ms - record->cache_ms);
+  record->envelope.query = record->op;
+  record->envelope.algo = algo;
+  record->envelope.n = n;
+  record->envelope.m = m;
+  record->serialize_timer.Reset();
+  return outcome;
+}
 
-  if (outcome.result.scores.empty()) {
-    // Shed or failed before any scores existed: plain error response, with
-    // the admission outcome attached for the client's retry policy.
-    JsonValue response = ErrorResponse(outcome.result.status, &request);
-    response.Set("admitted", JsonValue(outcome.admitted));
-    return FinishError(std::move(response), request_id);
+std::string Server::HandleTopK(const JsonValue& request,
+                               RequestRecord* record) {
+  TRACE_SPAN("serve.topk");
+  const int64_t original_source = request.GetInt("source", -1);
+  const StatusOr<NodeId> source =
+      LookupSource(id_map_, original_source, "graph");
+  if (!source.ok()) return Reject(source.status(), &request, record);
+  const int64_t k = request.GetInt("k", 10);
+  if (Status s = CheckRange("k", k, 1, options_.max_k); !s.ok()) {
+    return Reject(s, &request, record);
+  }
+  const StatusOr<QueryOutcome> outcome = RunQuery(
+      request, "crashsim", graph_.graph.num_nodes(), graph_.graph.num_edges(),
+      [this, node = *source](QueryContext* ctx) {
+        // The answer-cache lookup runs inside the admitted task, so every
+        // request still passes admission and shows in the executor ledger.
+        // Any k is a projection of the one cached score vector.
+        return CachedSingleSource(cache_.get(), engine_.get(), node, ctx);
+      },
+      record);
+  if (!outcome.ok()) return Reject(outcome.status(), &request, record);
+  const PartialResult& result = outcome->result;
+  if (result.scores.empty()) {
+    // Shed or failed before any scores existed.
+    return Reject(result.status, &request, record, outcome->admitted);
   }
 
-  const Stopwatch serialize_timer;
+  JsonValue response = Head(request, result.status, record);
+  response.Set("source", JsonValue(original_source));
+  response.Set("k", JsonValue(k));
   JsonValue nodes = JsonValue::Array();
   JsonValue scores = JsonValue::Array();
-  for (const auto& [score, v] : TopKOfScores(outcome.result.scores, source,
-                                             static_cast<int>(k))) {
+  for (const auto& [score, v] :
+       TopKOfScores(result.scores, *source, static_cast<int>(k))) {
     nodes.Append(JsonValue(graph_.original_ids[static_cast<size_t>(v)]));
     scores.Append(JsonValue(score));
   }
-  JsonValue response = JsonValue::Object();
-  if (const JsonValue* id = request.Find("id"); id != nullptr) {
-    response.Set("id", *id);
-  }
-  response.Set("status", JsonValue(std::string(
-                             StatusCodeName(outcome.result.status.code()))));
-  if (!outcome.result.status.ok()) {
-    response.Set("message", JsonValue(outcome.result.status.message()));
-  }
-  response.Set("op", JsonValue(std::string("topk")));
-  response.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
-  response.Set("source", JsonValue(original_source));
-  response.Set("k", JsonValue(k));
   response.Set("nodes", std::move(nodes));
   response.Set("scores", std::move(scores));
-  response.Set("trials_done", JsonValue(outcome.result.trials_done));
-  response.Set("trials_target", JsonValue(outcome.result.trials_target));
-  response.Set("epsilon_achieved", JsonValue(outcome.result.epsilon_achieved));
-  response.Set("degraded", JsonValue(outcome.degraded));
-  response.Set("trial_fraction", JsonValue(outcome.trial_fraction));
-  response.Set("retries", JsonValue(static_cast<int64_t>(outcome.retries)));
-  response.Set("queue_wait_ms",
-               JsonValue(outcome.queue_wait_seconds * 1e3));
-  response.Set("run_ms", JsonValue(outcome.run_seconds * 1e3));
-  record->serialize_ms = serialize_timer.ElapsedSeconds() * 1e3;
-  JsonValue stages = JsonValue::Object();
-  stages.Set("queue_ms", JsonValue(record->queue_ms));
-  stages.Set("cache_ms", JsonValue(record->cache_ms));
-  stages.Set("walk_ms", JsonValue(record->walk_ms));
-  stages.Set("serialize_ms", JsonValue(record->serialize_ms));
-  response.Set("stages", std::move(stages));
-  return response.Write();
+  response.Set("trials_done", JsonValue(result.trials_done));
+  response.Set("trials_target", JsonValue(result.trials_target));
+  response.Set("epsilon_achieved", JsonValue(result.epsilon_achieved));
+  response.Set("degraded", JsonValue(outcome->degraded));
+  response.Set("trial_fraction", JsonValue(outcome->trial_fraction));
+  return Finish(std::move(response), record);
 }
 
 std::string Server::HandleTemporal(const JsonValue& request,
-                                   uint64_t request_id,
                                    RequestRecord* record) {
   TRACE_SPAN("serve.temporal");
   if (!temporal_.has_value()) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError(
-                          "server was started without a temporal graph"),
-                      &request),
-        request_id);
+    return Reject(
+        InvalidArgumentError("server was started without a temporal graph"),
+        &request, record);
   }
   const TemporalGraph& tg = temporal_->graph;
   const int64_t original_source = request.GetInt("source", -1);
-  NodeId source = -1;
-  for (size_t i = 0; i < temporal_->original_ids.size(); ++i) {
-    if (temporal_->original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FinishError(
-        ErrorResponse(NotFoundError(StrFormat(
-                          "source id %lld not present in the temporal graph",
-                          static_cast<long long>(original_source))),
-                      &request),
-        request_id);
-  }
+  const StatusOr<NodeId> source =
+      LookupSource(temporal_id_map_, original_source, "temporal graph");
+  if (!source.ok()) return Reject(source.status(), &request, record);
 
   // Range-check the interval as int64 before narrowing: a silently wrapped
   // bound would answer a different interval than the one asked for.
@@ -626,125 +619,61 @@ std::string Server::HandleTemporal(const JsonValue& request,
   const int64_t begin = request.GetInt("begin", 0);
   const int64_t end = request.GetInt("end", -1);
   if (begin < 0 || begin >= snapshots || end < -1 || end >= snapshots) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError(StrFormat(
-                          "begin must be in [0, %lld) and end in [-1, %lld) "
-                          "(-1 = last snapshot), got begin=%lld end=%lld",
-                          static_cast<long long>(snapshots),
-                          static_cast<long long>(snapshots),
-                          static_cast<long long>(begin),
-                          static_cast<long long>(end))),
-                      &request),
-        request_id);
+    return Reject(InvalidArgumentError(StrFormat(
+                      "begin must be in [0, %lld) and end in [-1, %lld) "
+                      "(-1 = last snapshot), got begin=%lld end=%lld",
+                      static_cast<long long>(snapshots),
+                      static_cast<long long>(snapshots),
+                      static_cast<long long>(begin),
+                      static_cast<long long>(end))),
+                  &request, record);
   }
   TemporalQuery query;
-  query.source = source;
+  query.source = *source;
   query.begin_snapshot = static_cast<int>(begin);
-  query.end_snapshot =
-      static_cast<int>(end == -1 ? snapshots - 1 : end);
+  query.end_snapshot = static_cast<int>(end == -1 ? snapshots - 1 : end);
   query.theta = request.GetDouble("theta", 0.05);
   query.trend_tolerance = request.GetDouble("tolerance", 0.0);
   const std::string kind = request.GetString("kind", "threshold");
-  if (kind == "threshold") {
-    query.kind = TemporalQueryKind::kThreshold;
-  } else if (kind == "increasing") {
-    query.kind = TemporalQueryKind::kTrendIncreasing;
-  } else if (kind == "decreasing") {
-    query.kind = TemporalQueryKind::kTrendDecreasing;
-  } else {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError(
-                          "unknown kind '" + kind +
-                          "' (threshold | increasing | decreasing)"),
-                      &request),
-        request_id);
-  }
-  const int64_t timeout_ms =
-      request.GetInt("timeout_ms", options_.default_timeout_ms);
-  if (timeout_ms < 0) {
-    return FinishError(
-        ErrorResponse(InvalidArgumentError("timeout_ms must be >= 0"),
-                      &request),
-        request_id);
-  }
+  const StatusOr<TemporalQueryKind> parsed_kind = ParseTemporalQueryKind(kind);
+  if (!parsed_kind.ok()) return Reject(parsed_kind.status(), &request, record);
+  query.kind = *parsed_kind;
 
-  std::optional<QueryContext> ctx;
-  if (timeout_ms > 0) {
-    ctx.emplace(std::chrono::milliseconds(timeout_ms));
-  } else {
-    ctx.emplace();
-  }
-  ctx->set_request_id(request_id);
-  ctx->set_stats(&record->stats);
   CrashSimTOptions temporal_options;
   temporal_options.crashsim = options_.engine;
   TemporalAnswer answer;
-  QueryRequest query_request;
-  query_request.ctx = &*ctx;
-  query_request.run = [&](QueryContext* run_ctx) -> PartialResult {
-    // CrashSim-T keeps per-interval state, so each request gets its own
-    // engine instance (the static engine_ stays untouched).
-    CrashSimT engine(temporal_options);
-    answer = engine.Answer(tg, query, run_ctx);
-    PartialResult r;
-    r.status = answer.status;
-    return r;
-  };
-  const QueryOutcome outcome = executor_->Execute(query_request);
+  const StatusOr<QueryOutcome> outcome = RunQuery(
+      request, "crashsim-t", tg.num_nodes(),
+      tg.num_edges(query.begin_snapshot),
+      [&](QueryContext* ctx) {
+        // CrashSim-T keeps per-interval state, so each request gets its own
+        // engine instance (the static engine_ stays untouched).
+        answer = CrashSimT(temporal_options).Answer(tg, query, ctx);
+        PartialResult r;
+        r.status = answer.status;
+        return r;
+      },
+      record);
+  if (!outcome.ok()) return Reject(outcome.status(), &request, record);
+  if (!outcome->admitted) {
+    return Reject(outcome->result.status, &request, record, false);
+  }
 
-  record->admitted = outcome.admitted;
-  record->degraded = outcome.degraded;
-  record->retries = outcome.retries;
-  record->queue_ms = outcome.queue_wait_seconds * 1e3;
-  // Temporal queries build per-request trees (no shared cache), so the
-  // whole engine run counts as walk time.
-  record->walk_ms = outcome.run_seconds * 1e3;
-  record->envelope.query = "temporal";
-  record->envelope.algo = "crashsim-t";
-  record->envelope.n = tg.num_nodes();
-
-  if (!outcome.admitted) {
-    JsonValue response = ErrorResponse(outcome.result.status, &request);
-    response.Set("admitted", JsonValue(false));
-    return FinishError(std::move(response), request_id);
-  }
-  const Stopwatch serialize_timer;
-  JsonValue nodes = JsonValue::Array();
-  for (const NodeId v : answer.nodes) {
-    nodes.Append(JsonValue(temporal_->original_ids[static_cast<size_t>(v)]));
-  }
-  JsonValue response = JsonValue::Object();
-  if (const JsonValue* id = request.Find("id"); id != nullptr) {
-    response.Set("id", *id);
-  }
-  response.Set("status", JsonValue(std::string(
-                             StatusCodeName(outcome.result.status.code()))));
-  if (!outcome.result.status.ok()) {
-    response.Set("message", JsonValue(outcome.result.status.message()));
-  }
-  response.Set("op", JsonValue(std::string("temporal")));
-  response.Set("request_id", JsonValue(static_cast<int64_t>(request_id)));
+  JsonValue response = Head(request, outcome->result.status, record);
   response.Set("source", JsonValue(original_source));
   response.Set("kind", JsonValue(kind));
   response.Set("begin", JsonValue(static_cast<int64_t>(query.begin_snapshot)));
   response.Set("end", JsonValue(static_cast<int64_t>(query.end_snapshot)));
+  JsonValue nodes = JsonValue::Array();
+  for (const NodeId v : answer.nodes) {
+    nodes.Append(JsonValue(temporal_->original_ids[static_cast<size_t>(v)]));
+  }
   response.Set("nodes", std::move(nodes));
   response.Set("snapshots_processed",
                JsonValue(static_cast<int64_t>(
                    answer.stats.snapshots_processed)));
   response.Set("scores_computed", JsonValue(answer.stats.scores_computed));
-  response.Set("retries", JsonValue(static_cast<int64_t>(outcome.retries)));
-  response.Set("queue_wait_ms",
-               JsonValue(outcome.queue_wait_seconds * 1e3));
-  response.Set("run_ms", JsonValue(outcome.run_seconds * 1e3));
-  record->serialize_ms = serialize_timer.ElapsedSeconds() * 1e3;
-  JsonValue stages = JsonValue::Object();
-  stages.Set("queue_ms", JsonValue(record->queue_ms));
-  stages.Set("cache_ms", JsonValue(record->cache_ms));
-  stages.Set("walk_ms", JsonValue(record->walk_ms));
-  stages.Set("serialize_ms", JsonValue(record->serialize_ms));
-  response.Set("stages", std::move(stages));
-  return response.Write();
+  return Finish(std::move(response), record);
 }
 
 void Server::MetricsLoop() {
@@ -877,12 +806,14 @@ std::string Server::BuildStatuszJson() const {
     const FixedHistogram::Snapshot snap = window.WindowSnapshot();
     JsonValue w = JsonValue::Object();
     w.Set("count", JsonValue(snap.total));
-    w.Set("p50_ms",
-          JsonValue(SlidingHistogram::SnapshotQuantile(snap, 0.50)));
-    w.Set("p95_ms",
-          JsonValue(SlidingHistogram::SnapshotQuantile(snap, 0.95)));
-    w.Set("p99_ms",
-          JsonValue(SlidingHistogram::SnapshotQuantile(snap, 0.99)));
+    // The windows hold microseconds; report the bucket bound in ms.
+    for (const auto& [key, q] : {std::pair{"p50_ms", 0.50},
+                                 std::pair{"p95_ms", 0.95},
+                                 std::pair{"p99_ms", 0.99}}) {
+      w.Set(key, JsonValue(static_cast<double>(
+                               SlidingHistogram::SnapshotQuantile(snap, q)) /
+                           1e3));
+    }
     return w;
   };
   latency.Set("window_seconds",
@@ -892,8 +823,9 @@ std::string Server::BuildStatuszJson() const {
   out.Set("latency", std::move(latency));
 
   // SLO burn: fraction of the window's query requests over the threshold.
-  // The slo window's single bound is exactly slo_ms, so "over" is the
-  // overflow bucket — no percentile rounding at the threshold.
+  // The slo window's single bound is exactly slo_ms (in microseconds), so
+  // "over" is the overflow bucket — no percentile rounding at the
+  // threshold.
   const FixedHistogram::Snapshot slo = slo_window_->WindowSnapshot();
   const int64_t window_breaches =
       slo.cumulative.size() >= 2

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,7 +13,6 @@
 
 #include "core/crashsim.h"
 #include "core/executor.h"
-#include "core/query_stats.h"
 #include "core/tree_cache.h"
 #include "graph/graph_io.h"
 #include "util/metrics.h"
@@ -22,7 +22,9 @@
 
 namespace crashsim {
 
-class EventLog;  // util/event_log.h
+class EventLog;        // util/event_log.h
+class JsonValue;       // serve/json.h
+struct RequestRecord;  // server.cc: one request's status, stages and stats
 
 // crashsim_serve: the always-on query service (ROADMAP item 1, PR 7).
 //
@@ -136,36 +138,20 @@ class Server {
   const QueryExecutor& executor() const { return *executor_; }
 
  private:
-  // Per-request epilogue record: handlers fill in what they know (stage
-  // split, executor verdicts, rendered QueryStats); HandleRequest derives
-  // the rest (status, elapsed) from the response and feeds the rolling
-  // windows, slow-query log, and /tracez ring.
-  struct RequestRecord {
-    uint64_t request_id = 0;
-    std::string op;  // "" until dispatch resolves it
-    bool admitted = true;
-    bool degraded = false;
-    int retries = 0;
-    double queue_ms = 0.0;      // executor admission-queue wait
-    double cache_ms = 0.0;      // answer lookup/wait + tree lookup/build
-    double walk_ms = 0.0;       // engine run minus cache time
-    double serialize_ms = 0.0;  // response assembly after the engine
-    // The engine's work counters and their envelope; envelope.query stays
-    // "" unless the executor ran the query. Rendered as
-    // crashsim.query_stats.v1 only when the slow-query event is emitted.
-    QueryStatsEnvelope envelope;
-    QueryStats stats;
-  };
-
   void AcceptLoop();
   void MetricsLoop();
   void ServeConnection(int fd);
   // Handles one parsed request; always returns a response object.
   std::string HandleRequest(const std::string& payload);
-  std::string HandleTopK(const class JsonValue& request, uint64_t request_id,
-                         RequestRecord* record);
-  std::string HandleTemporal(const class JsonValue& request,
-                             uint64_t request_id, RequestRecord* record);
+  std::string HandleTopK(const JsonValue& request, RequestRecord* record);
+  std::string HandleTemporal(const JsonValue& request, RequestRecord* record);
+  // The query lifecycle both ops share: range-checks timeout_ms, runs `run`
+  // through the executor under the request's deadline, stats sink and id,
+  // and fills the record's verdicts, stage split and QueryStats envelope
+  // (`algo` on an n-node, m-edge graph).
+  [[nodiscard]] StatusOr<QueryOutcome> RunQuery(
+      const JsonValue& request, const char* algo, int64_t n, int64_t m,
+      std::function<PartialResult(QueryContext*)> run, RequestRecord* record);
   // /statusz and /tracez bodies (serialized JSON).
   std::string BuildStatuszJson() const;
   std::string BuildTracezJson() const;
@@ -173,7 +159,9 @@ class Server {
   const LoadedGraph graph_;
   const std::optional<LoadedTemporalGraph> temporal_;
   const ServerOptions options_;
-  std::unordered_map<int64_t, NodeId> id_map_;  // original id -> internal
+  // Original id -> internal id, one map per graph.
+  std::unordered_map<int64_t, NodeId> id_map_;
+  std::unordered_map<int64_t, NodeId> temporal_id_map_;
 
   std::unique_ptr<CrashSim> engine_;       // shared; ctx-path is thread-safe
   std::unique_ptr<TreeCache> cache_;

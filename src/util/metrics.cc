@@ -95,6 +95,10 @@ std::vector<int64_t> ExponentialBuckets(int64_t start, double factor,
   return bounds;
 }
 
+std::vector<int64_t> LatencyBucketsMicros() {
+  return ExponentialBuckets(16, 2.0, 23);
+}
+
 SlidingHistogram::SlidingHistogram(std::vector<int64_t> bounds,
                                    int window_seconds)
     : bounds_(std::move(bounds)) {

@@ -119,6 +119,10 @@ class FixedHistogram {
 std::vector<int64_t> ExponentialBuckets(int64_t start, double factor,
                                         int count);
 
+// Request-latency bounds in microseconds, factor 2 from 16 us to 67 s: the
+// serve.*_us and cli.query_us histograms and the /statusz windows.
+std::vector<int64_t> LatencyBucketsMicros();
+
 // Rolling time-windowed histogram: `window_seconds` one-second slots, each
 // a FixedHistogram-shaped bucket array, recycled in place as the clock
 // advances. Record() lands in the slot for the current (steady-clock)

@@ -21,6 +21,18 @@ TemporalQuery TrendQuery(TemporalQueryKind kind, double tol = 0.0) {
   return q;
 }
 
+TEST(TemporalQueryKindTest, ParsesTheThreeSpellings) {
+  EXPECT_EQ(*ParseTemporalQueryKind("threshold"), TemporalQueryKind::kThreshold);
+  EXPECT_EQ(*ParseTemporalQueryKind("increasing"),
+            TemporalQueryKind::kTrendIncreasing);
+  EXPECT_EQ(*ParseTemporalQueryKind("decreasing"),
+            TemporalQueryKind::kTrendDecreasing);
+  const Status bad = ParseTemporalQueryKind("sideways").status();
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.message(),
+            "unknown kind 'sideways' (threshold | increasing | decreasing)");
+}
+
 TEST(TemporalStepTest, ThresholdIsStrict) {
   const TemporalQuery q = ThresholdQuery(0.5);
   EXPECT_TRUE(TemporalStepSatisfied(q, true, 0.0, 0.6));

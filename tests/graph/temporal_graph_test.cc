@@ -46,6 +46,14 @@ TEST(TemporalGraphTest, SnapshotMaterialisation) {
   EXPECT_TRUE(g2.HasEdge(0, 1));
 }
 
+TEST(TemporalGraphTest, EdgeCountPerSnapshotMatchesMaterialisation) {
+  const TemporalGraph tg = ThreeSnapshots();
+  for (int t = 0; t < tg.num_snapshots(); ++t) {
+    EXPECT_EQ(tg.num_edges(t), tg.Snapshot(t).num_edges()) << "snapshot " << t;
+  }
+  EXPECT_EQ(tg.num_edges(2), 3);
+}
+
 TEST(TemporalGraphTest, TotalEvents) {
   const TemporalGraph tg = ThreeSnapshots();
   EXPECT_EQ(tg.TotalEvents(), 2 + 2 + 1);

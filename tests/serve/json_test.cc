@@ -65,6 +65,21 @@ TEST(JsonTest, NonFiniteNumbersSerialiseAsNull) {
   EXPECT_EQ(JsonValue(std::nan("")).Write(), "null");
 }
 
+// A request number outside the int64 range clamps to its nearest end
+// instead of an undefined float-to-int conversion.
+TEST(JsonTest, AsIntSaturatesOutOfRangeNumbers) {
+  EXPECT_EQ(JsonValue(1e300).as_int(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(JsonValue(-1e300).as_int(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(JsonValue(9223372036854775808.0).as_int(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(JsonValue(-9223372036854775808.0).as_int(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(JsonValue(-7.9).as_int(), -7);
+  StatusOr<JsonValue> v = ParseJson("{\"k\":1e300}");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->GetInt("k", 10), std::numeric_limits<int64_t>::max());
+}
+
 TEST(JsonTest, UnicodeEscapesDecodeIncludingSurrogatePairs) {
   StatusOr<JsonValue> v = ParseJson("\"\\u00e9\\uD83D\\uDE00\"");
   ASSERT_TRUE(v.ok());

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <numeric>
@@ -185,6 +186,9 @@ TEST(ServerOptionsTest, ValidateRejectsBadValues) {
   EXPECT_EQ(opt.Validate().code(), StatusCode::kInvalidArgument);
   opt = TestServerOptions();
   opt.slo_ms = 0;
+  EXPECT_EQ(opt.Validate().code(), StatusCode::kInvalidArgument);
+  opt = TestServerOptions();
+  opt.default_timeout_ms = 86'400'001;  // crashsim_serve's flag stops at a day
   EXPECT_EQ(opt.Validate().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(TestServerOptions().Validate().ok());
 }
@@ -785,6 +789,11 @@ TEST(ServerTest, SlowQueryStatsShareTheRequestElapsedReading) {
   LoadedGraph loaded;
   loaded.graph = temporal.graph.Snapshot(0);
   loaded.original_ids = temporal.original_ids;
+  // query_stats names the graph each op ran on: the static graph for topk,
+  // the interval's first snapshot for temporal (as crashsim_cli reports).
+  const int64_t static_edges = loaded.graph.num_edges();
+  const int64_t begin_edges = temporal.graph.Snapshot(1).num_edges();
+  ASSERT_NE(static_edges, begin_edges);
   ServerOptions options = TestServerOptions();
   options.engine.mc.trials_override = 80;
   options.event_log = &event_log;
@@ -797,6 +806,7 @@ TEST(ServerTest, SlowQueryStatsShareTheRequestElapsedReading) {
     JsonValue temporal_request = JsonValue::Object();
     temporal_request.Set("op", JsonValue(std::string("temporal")));
     temporal_request.Set("source", JsonValue(int64_t{503}));
+    temporal_request.Set("begin", JsonValue(int64_t{1}));
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(client.Call(TopKRequest(500 + i, 5)).ok());
       ASSERT_TRUE(client.Call(temporal_request).ok());
@@ -821,9 +831,91 @@ TEST(ServerTest, SlowQueryStatsShareTheRequestElapsedReading) {
     const double stats_ms = stats->GetDouble("elapsed_seconds", -1.0) * 1e3;
     EXPECT_GT(elapsed_ms, 0.0) << line;
     EXPECT_NEAR(stats_ms, elapsed_ms, 1e-5 * elapsed_ms) << line;
+    const bool topk = event->GetString("op", "") == "topk";
+    EXPECT_EQ(stats->GetInt("n", -1), 40) << line;
+    EXPECT_EQ(stats->GetInt("m", -1), topk ? static_edges : begin_edges)
+        << line;
     ++checked;
   }
   EXPECT_EQ(checked, 6);
+}
+
+// A timeout_ms past a day would overflow the deadline's nanosecond clock
+// (9223372036854 ms is ~2^63 ns); both query ops reject it up front, with
+// the range crashsim_cli --timeout_ms accepts.
+TEST(ServerTest, TimeoutMsOutsideItsRangeIsRejected) {
+  LoadedTemporalGraph temporal = TestTemporalGraph();
+  LoadedGraph loaded;
+  loaded.graph = temporal.graph.Snapshot(0);
+  loaded.original_ids = temporal.original_ids;
+  ServerOptions options = TestServerOptions();
+  options.engine.mc.trials_override = 80;
+  Server server(std::move(loaded), std::move(temporal), options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+  ASSERT_TRUE(client.connected());
+  for (const char* op : {"topk", "temporal"}) {
+    for (const int64_t timeout_ms :
+         {int64_t{9223372036854}, int64_t{86'400'001}, int64_t{-1}}) {
+      JsonValue request = TopKRequest(503, 3);
+      request.Set("op", JsonValue(std::string(op)));
+      request.Set("timeout_ms", JsonValue(timeout_ms));
+      const StatusOr<JsonValue> response = client.Call(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->GetString("status", ""), "INVALID_ARGUMENT")
+          << op << " timeout_ms=" << timeout_ms;
+    }
+    JsonValue request = TopKRequest(503, 3);
+    request.Set("op", JsonValue(std::string(op)));
+    request.Set("timeout_ms", JsonValue(int64_t{86'400'000}));
+    const StatusOr<JsonValue> response = client.Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->GetString("status", ""), "OK") << op;
+  }
+  server.Shutdown();
+}
+
+// /statusz percentiles resolve the sub-millisecond hot path: the p50 of a
+// topk source repeated from the answer cache is within one factor-2 bucket
+// of what the client itself measured around the same calls. Each server
+// reading is shorter than its round trip and a bucket bound is under twice
+// the value it holds, so with an odd count of calls (the cache fill plus
+// 20 repeats) the inequality holds at any load.
+TEST(ServerTest, StatuszResolvesSubMillisecondLatency) {
+  ServerOptions options = TestServerOptions();
+  options.tracez_capacity = 0;
+  Server server(TestGraph(), std::nullopt, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<double> client_ms;
+  {
+    Client client(server.port());
+    ASSERT_TRUE(client.connected());
+    for (int i = 0; i < 21; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const StatusOr<JsonValue> response = client.Call(TopKRequest(1007, 5));
+      client_ms.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+      ASSERT_TRUE(response.ok());
+      ASSERT_EQ(response->GetString("status", ""), "OK");
+    }
+  }
+  std::sort(client_ms.begin(), client_ms.end());
+  const double client_median = client_ms[10];
+
+  StatusOr<JsonValue> doc =
+      ParseJson(HttpBody(HttpGet(server.metrics_port(), "/statusz")));
+  server.Shutdown();
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* latency = doc->Find("latency");
+  ASSERT_NE(latency, nullptr);
+  const JsonValue* topk = latency->Find("topk");
+  ASSERT_NE(topk, nullptr);
+  EXPECT_EQ(topk->GetInt("count", -1), 21);
+  const double p50_ms = topk->GetDouble("p50_ms", -1.0);
+  EXPECT_GT(p50_ms, 0.0);
+  EXPECT_LE(p50_ms, 2.0 * client_median)
+      << "client median " << client_median << " ms";
 }
 
 // The top-level keys of a compact JSON object, in wire order.

@@ -66,33 +66,14 @@
 #include "util/flags.h"
 #include "util/string_util.h"
 
+#include "cli_common.h"
+
 namespace crashsim {
 namespace {
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
-}
-
-// Maps a Status to the CLI's exit code. Parse/usage failures use 1, so every
-// StatusCode gets its own code starting at 2.
-int ExitCodeFor(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 2;
-    case StatusCode::kNotFound: return 3;
-    case StatusCode::kDeadlineExceeded: return 4;
-    case StatusCode::kCancelled: return 5;
-    case StatusCode::kResourceExhausted: return 6;
-    case StatusCode::kDataLoss: return 7;
-    case StatusCode::kUnavailable: return 8;
-  }
-  return 1;
-}
-
-int FailStatus(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
 }
 
 void DefineAlgoFlags(FlagSet* flags) {
@@ -112,22 +93,10 @@ void DefineAlgoFlags(FlagSet* flags) {
 }
 
 std::unique_ptr<SimRankAlgorithm> MakeAlgorithm(const FlagSet& flags) {
-  SimRankOptions mc;
-  mc.c = flags.GetDouble("c");
-  mc.epsilon = flags.GetDouble("epsilon");
-  mc.delta = flags.GetDouble("delta");
-  mc.trials_override = flags.GetInt("trials");
-  mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  const CrashSimOptions opt = CrashSimOptionsFromFlags(flags);
+  const SimRankOptions& mc = opt.mc;
   const std::string algo = flags.GetString("algo");
-  if (algo == "crashsim") {
-    CrashSimOptions opt;
-    opt.mc = mc;
-    opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                           : RevReachMode::kCorrected;
-    opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
-    return std::make_unique<CrashSim>(opt);
-  }
+  if (algo == "crashsim") return std::make_unique<CrashSim>(opt);
   if (algo == "probesim") return std::make_unique<ProbeSim>(mc);
   if (algo == "sling") return std::make_unique<Sling>(mc);
   if (algo == "reads") {
@@ -218,12 +187,12 @@ class ScopedMetricsExport {
   std::string path_;
 };
 
-// CLI query latency lands in the process registry so --metrics_out always
-// has a histogram to expose.
-void RecordCliQueryMillis(double ms) {
+// CLI query latency, in microseconds, lands in the process registry so
+// --metrics_out always has a histogram to expose.
+void RecordCliQuerySeconds(double seconds) {
   static FixedHistogram& h = MetricsRegistry::Global().histogram(
-      "cli.query_ms", ExponentialBuckets(1, 2.0, 14));
-  h.Record(static_cast<int64_t>(ms));
+      "cli.query_us", LatencyBucketsMicros());
+  h.Record(static_cast<int64_t>(seconds * 1e6));
 }
 
 // Renders the per-query observability record the way the caller asked:
@@ -287,16 +256,10 @@ int RunTopK(int argc, char** argv) {
 
   // Map the original source id to the dense internal id.
   const int64_t original_source = flags.GetInt("source");
-  NodeId source = -1;
-  for (size_t i = 0; i < loaded.original_ids.size(); ++i) {
-    if (loaded.original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FailStatus(NotFoundError("source id not present in the graph"));
-  }
+  const StatusOr<NodeId> source_or =
+      FindSource(loaded.original_ids, original_source);
+  if (!source_or.ok()) return FailStatus(source_or.status());
+  const NodeId source = *source_or;
 
   // Deadline-bounded / instrumented anytime path: run the context-aware
   // CrashSim query, report whatever the completed trials support, and exit
@@ -312,16 +275,7 @@ int RunTopK(int argc, char** argv) {
           timeout_ms > 0 ? "--timeout_ms requires --algo crashsim"
                          : "--stats/--stats_json require --algo crashsim"));
     }
-    CrashSimOptions opt;
-    opt.mc.c = flags.GetDouble("c");
-    opt.mc.epsilon = flags.GetDouble("epsilon");
-    opt.mc.delta = flags.GetDouble("delta");
-    opt.mc.trials_override = flags.GetInt("trials");
-    opt.mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                           : RevReachMode::kCorrected;
-    opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
+    const CrashSimOptions opt = CrashSimOptionsFromFlags(flags);
     if (Status s = opt.Validate(); !s.ok()) return FailStatus(s);
     CrashSim algo(opt);
     algo.Bind(&g);
@@ -337,7 +291,7 @@ int RunTopK(int argc, char** argv) {
     const Stopwatch query_timer;
     const PartialResult result = algo.SingleSource(source, &*ctx);
     const double elapsed = query_timer.ElapsedSeconds();
-    RecordCliQueryMillis(elapsed * 1e3);
+    RecordCliQuerySeconds(elapsed);
     if (result.scores.empty()) return FailStatus(result.status);
     std::printf("top-%lld nodes by s(%lld, v):\n",
                 static_cast<long long>(flags.GetInt("k")),
@@ -436,20 +390,12 @@ int RunTemporal(int argc, char** argv) {
   const LoadedTemporalGraph& loaded = *loaded_or;
   const TemporalGraph& tg = loaded.graph;
 
-  const int64_t original_source = flags.GetInt("source");
-  NodeId source = -1;
-  for (size_t i = 0; i < loaded.original_ids.size(); ++i) {
-    if (loaded.original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FailStatus(NotFoundError("source id not present in the graph"));
-  }
+  const StatusOr<NodeId> source =
+      FindSource(loaded.original_ids, flags.GetInt("source"));
+  if (!source.ok()) return FailStatus(source.status());
 
   TemporalQuery query;
-  query.source = source;
+  query.source = *source;
   query.begin_snapshot = static_cast<int>(flags.GetInt("begin"));
   query.end_snapshot = flags.GetInt("end") < 0
                            ? tg.num_snapshots() - 1
@@ -457,25 +403,15 @@ int RunTemporal(int argc, char** argv) {
   query.theta = flags.GetDouble("theta");
   query.trend_tolerance = flags.GetDouble("tolerance");
   const std::string kind = flags.GetString("kind");
-  if (kind == "threshold") {
-    query.kind = TemporalQueryKind::kThreshold;
-  } else if (kind == "increasing") {
-    query.kind = TemporalQueryKind::kTrendIncreasing;
-  } else if (kind == "decreasing") {
-    query.kind = TemporalQueryKind::kTrendDecreasing;
-  } else {
-    return FailStatus(InvalidArgumentError("unknown --kind " + kind));
-  }
+  const StatusOr<TemporalQueryKind> parsed_kind = ParseTemporalQueryKind(kind);
+  if (!parsed_kind.ok()) return FailStatus(parsed_kind.status());
+  query.kind = *parsed_kind;
   if (Status s = ValidateQueryInterval(tg, query); !s.ok()) {
     return FailStatus(s);
   }
 
-  SimRankOptions mc;
-  mc.c = flags.GetDouble("c");
-  mc.epsilon = flags.GetDouble("epsilon");
-  mc.delta = flags.GetDouble("delta");
-  mc.trials_override = flags.GetInt("trials");
-  mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
+  const CrashSimOptions engine_options = CrashSimOptionsFromFlags(flags);
+  const SimRankOptions& mc = engine_options.mc;
 
   const int64_t timeout_ms = flags.GetInt("timeout_ms");
   const bool want_stats =
@@ -486,11 +422,7 @@ int RunTemporal(int argc, char** argv) {
   const std::string engine = flags.GetString("engine");
   if (engine == "crashsim-t") {
     CrashSimTOptions opt;
-    opt.crashsim.mc = mc;
-    opt.crashsim.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                                    : RevReachMode::kCorrected;
-    opt.crashsim.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.crashsim.batch_size = static_cast<int>(flags.GetInt("batch_size"));
+    opt.crashsim = engine_options;
     CrashSimT e(opt);
     QueryContext ctx = timeout_ms > 0
                            ? QueryContext(std::chrono::milliseconds(timeout_ms))
@@ -521,7 +453,7 @@ int RunTemporal(int argc, char** argv) {
     return FailStatus(InvalidArgumentError("unknown --engine " + engine));
   }
 
-  RecordCliQueryMillis(query_timer.ElapsedSeconds() * 1e3);
+  RecordCliQuerySeconds(query_timer.ElapsedSeconds());
   std::printf("%zu nodes satisfy the %s query over snapshots [%d, %d]:\n",
               answer.nodes.size(), kind.c_str(), query.begin_snapshot,
               query.end_snapshot);
@@ -539,7 +471,7 @@ int RunTemporal(int argc, char** argv) {
     env.query = "temporal";
     env.algo = "crashsim-t";
     env.n = static_cast<int64_t>(tg.num_nodes());
-    env.m = tg.Snapshot(query.begin_snapshot).num_edges();
+    env.m = tg.num_edges(query.begin_snapshot);
     env.elapsed_seconds = query_timer.ElapsedSeconds();
     PrintQueryStats(flags.GetBool("stats"), flags.GetBool("stats_json"), env,
                     qstats);
@@ -571,19 +503,12 @@ int RunDurable(int argc, char** argv) {
   const LoadedTemporalGraph& loaded = *loaded_or;
   const TemporalGraph& tg = loaded.graph;
   const int64_t original_source = flags.GetInt("source");
-  NodeId source = -1;
-  for (size_t i = 0; i < loaded.original_ids.size(); ++i) {
-    if (loaded.original_ids[i] == original_source) {
-      source = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  if (source < 0) {
-    return FailStatus(NotFoundError("source id not present in the graph"));
-  }
+  const StatusOr<NodeId> source =
+      FindSource(loaded.original_ids, original_source);
+  if (!source.ok()) return FailStatus(source.status());
 
   DurableTopKQuery query;
-  query.source = source;
+  query.source = *source;
   query.begin_snapshot = static_cast<int>(flags.GetInt("begin"));
   query.end_snapshot = flags.GetInt("end") < 0
                            ? tg.num_snapshots() - 1
@@ -602,18 +527,7 @@ int RunDurable(int argc, char** argv) {
     return FailStatus(InvalidArgumentError("--floor must be >= 0"));
   }
 
-  CrashSimOptions opt;
-  opt.mc.c = flags.GetDouble("c");
-  opt.mc.epsilon = flags.GetDouble("epsilon");
-  opt.mc.delta = flags.GetDouble("delta");
-  opt.mc.trials_override = flags.GetInt("trials");
-  opt.mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                         : RevReachMode::kCorrected;
-  opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-  opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
-
-  CrashSimDurableTopK engine(opt);
+  CrashSimDurableTopK engine(CrashSimOptionsFromFlags(flags));
   const DurableTopKAnswer answer = engine.Answer(tg, query);
   std::printf("top-%d by durable (min over snapshots [%d, %d]) similarity to "
               "%lld:\n",
@@ -636,20 +550,11 @@ int RunDurable(int argc, char** argv) {
 // PartialResult callable for the executor.
 std::function<PartialResult(NodeId, QueryContext*)> MakeStressEngine(
     const FlagSet& flags, const Graph& g, uint64_t seed) {
-  SimRankOptions mc;
-  mc.c = flags.GetDouble("c");
-  mc.epsilon = flags.GetDouble("epsilon");
-  mc.delta = flags.GetDouble("delta");
-  mc.trials_override = flags.GetInt("trials");
-  mc.seed = seed;
+  CrashSimOptions opt = CrashSimOptionsFromFlags(flags);
+  opt.mc.seed = seed;
+  const SimRankOptions& mc = opt.mc;
   const std::string algo = flags.GetString("algo");
   if (algo == "crashsim") {
-    CrashSimOptions opt;
-    opt.mc = mc;
-    opt.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                           : RevReachMode::kCorrected;
-    opt.num_threads = static_cast<int>(flags.GetInt("threads"));
-    opt.batch_size = static_cast<int>(flags.GetInt("batch_size"));
     auto engine = std::make_shared<CrashSim>(opt);
     engine->Bind(&g);
     return [engine](NodeId u, QueryContext* ctx) {

@@ -24,31 +24,14 @@
 #include "util/flags.h"
 #include "util/status.h"
 
+#include "cli_common.h"
+
 namespace crashsim {
 namespace {
 
 std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-int ExitCodeFor(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk: return 0;
-    case StatusCode::kInvalidArgument: return 2;
-    case StatusCode::kNotFound: return 3;
-    case StatusCode::kDeadlineExceeded: return 4;
-    case StatusCode::kCancelled: return 5;
-    case StatusCode::kResourceExhausted: return 6;
-    case StatusCode::kDataLoss: return 7;
-    case StatusCode::kUnavailable: return 8;
-  }
-  return 1;
-}
-
-int FailStatus(const Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return ExitCodeFor(status);
-}
 
 int Run(int argc, char** argv) {
   FlagSet flags;
@@ -144,15 +127,7 @@ int Run(int argc, char** argv) {
   options.executor.memory_budget_bytes =
       flags.GetInt("memory_budget_mb") * (1 << 20);
   options.cache.capacity_bytes = flags.GetInt("cache_mb") * (1 << 20);
-  options.engine.mc.c = flags.GetDouble("c");
-  options.engine.mc.epsilon = flags.GetDouble("epsilon");
-  options.engine.mc.delta = flags.GetDouble("delta");
-  options.engine.mc.trials_override = flags.GetInt("trials");
-  options.engine.mc.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.engine.mode = flags.GetBool("paper_mode") ? RevReachMode::kPaper
-                                                    : RevReachMode::kCorrected;
-  options.engine.num_threads = static_cast<int>(flags.GetInt("threads"));
-  options.engine.batch_size = static_cast<int>(flags.GetInt("batch_size"));
+  options.engine = CrashSimOptionsFromFlags(flags);
   options.slow_query_ms = flags.GetInt("slow_query_ms");
   options.tracez_capacity = static_cast<int>(flags.GetInt("tracez_capacity"));
   options.tracez_sample_every =

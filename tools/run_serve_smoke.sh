@@ -121,7 +121,8 @@ python3 "${REPO_ROOT}/tools/check_prometheus.py" "$SCRAPE" \
   --require crashsim_cache_misses_total \
   --require crashsim_answer_cache_hits_total \
   --require crashsim_answer_cache_misses_total \
-  --require crashsim_answer_cache_coalesced_total
+  --require crashsim_answer_cache_coalesced_total \
+  --require crashsim_serve_topk_us_count
 
 echo "== shared cache effectiveness: N hot queries run <= 3 trial loops"
 series() { awk -v name="$1" '$1 == name {print $2}' "$SCRAPE"; }
