@@ -453,8 +453,9 @@ std::string Server::HandleRequest(const std::string& payload) {
   // Epilogue: rolling windows, error accounting, slow-query log, /tracez.
   // The one elapsed reading every report of this request projects.
   const double elapsed_ms = timer.ElapsedSeconds() * 1e3;
-  const std::string status = StatusCodeName(record.status);
-  if (record.status != StatusCode::kOk) {
+  const char* const status = StatusCodeName(record.status);
+  const bool ok = record.status == StatusCode::kOk;
+  if (!ok) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     ErrorsCounter().Add(1);
   }
@@ -472,8 +473,7 @@ std::string Server::HandleRequest(const std::string& payload) {
   }
   const bool slow =
       options_.slow_query_ms >= 0 &&
-      (elapsed_ms >= static_cast<double>(options_.slow_query_ms) ||
-       record.status != StatusCode::kOk);
+      (elapsed_ms >= static_cast<double>(options_.slow_query_ms) || !ok);
   if (slow && options_.event_log != nullptr) {
     EventBuilder event("slow_query");
     event.UInt("request_id", request_id)
@@ -517,17 +517,13 @@ StatusOr<QueryOutcome> Server::RunQuery(
   const int64_t timeout_ms =
       request.GetInt("timeout_ms", options_.default_timeout_ms);
   RETURN_IF_ERROR(CheckRange("timeout_ms", timeout_ms, 0, kMaxTimeoutMs));
-  // QueryContext is neither copyable nor movable; emplace the right ctor.
-  std::optional<QueryContext> ctx;
-  if (timeout_ms > 0) {
-    ctx.emplace(std::chrono::milliseconds(timeout_ms));
-  } else {
-    ctx.emplace();
-  }
-  ctx->set_stats(&record->stats);
-  ctx->set_request_id(record->request_id);
+  QueryContext ctx = timeout_ms > 0
+                         ? QueryContext(std::chrono::milliseconds(timeout_ms))
+                         : QueryContext();
+  ctx.set_stats(&record->stats);
+  ctx.set_request_id(record->request_id);
   QueryRequest query;
-  query.ctx = &*ctx;
+  query.ctx = &ctx;
   query.run = std::move(run);
   QueryOutcome outcome = executor_->Execute(query);
 

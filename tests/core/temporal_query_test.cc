@@ -22,7 +22,8 @@ TemporalQuery TrendQuery(TemporalQueryKind kind, double tol = 0.0) {
 }
 
 TEST(TemporalQueryKindTest, ParsesTheThreeSpellings) {
-  EXPECT_EQ(*ParseTemporalQueryKind("threshold"), TemporalQueryKind::kThreshold);
+  EXPECT_EQ(*ParseTemporalQueryKind("threshold"),
+            TemporalQueryKind::kThreshold);
   EXPECT_EQ(*ParseTemporalQueryKind("increasing"),
             TemporalQueryKind::kTrendIncreasing);
   EXPECT_EQ(*ParseTemporalQueryKind("decreasing"),
